@@ -104,12 +104,19 @@ def cmd_run(args) -> int:
     if args.dump_config:
         sys.stdout.write(cfgmod.dump_config(cfg))
         return EXIT_OK
-    train, test = datamod.load_mnist(cfg.data_dir)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest = _load_manifest(manifest_path)
-    manifest["config"] = cfgmod.dump_config(cfg)
+    effective = cfgmod.dump_config(cfg)
+    if manifest.get("config", effective) != effective:
+        keys = cfgmod.differing_keys(manifest["config"], effective)
+        raise ConfigurationError(
+            f"{manifest_path} holds trials run with other settings "
+            f"({', '.join(keys)}); resume with the same settings or use a new --out-dir"
+        )
+    manifest["config"] = effective
+    train, test = datamod.load_mnist(cfg.data_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for kind in cfg.models:
         for idx in range(cfg.trials_per_model):
             name = f"{kind}_trial{idx:02d}.jsonl"
@@ -128,7 +135,7 @@ def cmd_run(args) -> int:
             )
             metrics.write_logs(trial, log_path)
             manifest["completed"].append(name)
-            manifest_path.write_text(json.dumps(manifest, indent=2))
+            metrics.write_atomic(manifest_path, lambda f: json.dump(manifest, f, indent=2))
             last = trial.records[-1]
             print(
                 f"done {name}: round {last.round} test_acc={last.test_acc:.4f} "

@@ -61,25 +61,14 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce(raw: str, typ):
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return raw
+def differing_keys(a: str, b: str) -> list[str]:
+    """Keys whose values differ between two `dump_config` texts, sorted."""
+    da, db = (dict(line.partition(" = ")[::2] for line in t.splitlines()) for t in (a, b))
+    return sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
 
 
-_FED_TYPES = {
-    "n_rounds": int,
-    "clients_per_round_fraction": float,
-    "local_epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "client_momentum": float,
-    "server_momentum": float,
-    "server_lr": float,
-    "parallel_clients": int,
-}
+# coercion of each fed.* value, from the type of the field's default
+_FED_TYPES = {f.name: type(f.default) for f in fields(FederationConfig)}
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -97,7 +86,7 @@ def load_config(text: str) -> ExperimentConfig:
             name = key[4:]
             if name not in _FED_TYPES:
                 raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
-            fed[name] = _coerce(raw, _FED_TYPES[name])
+            fed[name] = _FED_TYPES[name](raw)
         elif key == "models":
             top["models"] = tuple(m.strip() for m in raw.split(",") if m.strip())
         elif key in ("trials_per_model", "master_seed", "n_clients", "labels_per_client"):

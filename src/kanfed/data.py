@@ -152,13 +152,14 @@ def _jittered_shard_sizes(
     return sizes.tolist()
 
 
+_DEAL_RETRIES = 50  # reshuffles tried before dealing distinct-label shard pairs fails
+
+
 def pathological_partition(
     ds: Dataset,
     n_clients: int = 100,
     labels_per_client: int = 2,
     rng: RngStream | None = None,
-    shards_per_label: int | None = None,
-    max_retries: int = 50,
 ) -> list[ClientPartition]:
     """Split the training set so each client holds exactly two digit labels."""
     if rng is None:
@@ -170,8 +171,7 @@ def pathological_partition(
         raise ConfigurationError(
             f"{n_shards} shards not divisible across {n_labels} labels"
         )
-    if shards_per_label is None:
-        shards_per_label = n_shards // n_labels
+    shards_per_label = n_shards // n_labels
 
     gen = rng.child("partition").gen
     # per-shard bounds chosen so any pair of shards stays within
@@ -190,7 +190,7 @@ def pathological_partition(
             pos += s
 
     shard_labels = None
-    for _ in range(max_retries):
+    for _ in range(_DEAL_RETRIES):
         order = gen.permutation(len(shards))
         ok = True
         order = list(order)

@@ -58,7 +58,6 @@ class ClientUpdate:
 class ServerState:
     global_model: ModelState
     momentum_buf: np.ndarray
-    round_index: int = 0
 
 
 def sample_clients(
@@ -136,7 +135,6 @@ def server_step(
     state.momentum_buf *= server_momentum
     state.momentum_buf += pseudo_gradient
     state.global_model.params += server_lr * state.momentum_buf
-    state.round_index += 1
     return state
 
 

@@ -8,6 +8,7 @@ lossless for every numeric field.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -59,34 +60,48 @@ def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[f
     return correct / n, loss_sum / n
 
 
+def write_atomic(path, write) -> None:
+    """Call write(f) on a temp file beside `path`, then rename it over `path`.
+
+    Readers see the old file or the new one, never part of one. The temp name
+    ends in .tmp, so `scan_logs` never reads it, and it is removed on failure.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as f:
+            write(f)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_logs(trial: TrialSummary, path) -> None:
-    """One JSONL line per round, then a trailing summary line."""
-    with open(path, "w") as f:
-        for r in trial.records:
-            line = {
-                "trial_id": trial.trial_id,
-                "model": trial.model,
-                "round": r.round,
-                "test_acc": r.test_acc,
-                "test_loss": r.test_loss,
-                "train_acc": r.train_acc,
-                "train_loss": r.train_loss,
-                "sampled_clients": r.sampled_clients,
-                "elapsed_s": r.elapsed_s,
-            }
-            f.write(json.dumps(line) + "\n")
-        f.write(
-            json.dumps(
-                {
-                    "trial_id": trial.trial_id,
-                    "model": trial.model,
-                    "seed": trial.seed,
-                    "n_rounds": len(trial.records),
-                    "total_time_s": trial.total_time_s,
-                }
-            )
-            + "\n"
-        )
+    """One JSONL line per round, then a trailing summary line; written atomically."""
+    lines = [
+        {
+            "trial_id": trial.trial_id,
+            "model": trial.model,
+            "round": r.round,
+            "test_acc": r.test_acc,
+            "test_loss": r.test_loss,
+            "train_acc": r.train_acc,
+            "train_loss": r.train_loss,
+            "sampled_clients": r.sampled_clients,
+            "elapsed_s": r.elapsed_s,
+        }
+        for r in trial.records
+    ]
+    lines.append(
+        {
+            "trial_id": trial.trial_id,
+            "model": trial.model,
+            "seed": trial.seed,
+            "n_rounds": len(trial.records),
+            "total_time_s": trial.total_time_s,
+        }
+    )
+    write_atomic(path, lambda f: f.writelines(json.dumps(line) + "\n" for line in lines))
 
 
 def read_logs(path) -> TrialSummary:

@@ -1,14 +1,18 @@
 """The three classifiers: MLP, Spline-KAN and RBF-KAN.
 
-All parameters of a model live in one flat float64 vector; a layout table
-maps named per-layer tensors to contiguous slices of it. Forward passes
-return logits plus a cache; `backward` consumes the cache and returns the
-flat parameter gradient (aligned with the layout) and the gradient w.r.t.
-the input batch. Gradients are hand-derived, there is no autograd.
+All three are stacks of layers that differ only in the function on each
+edge, so one table, `LAYER_SPECS`, maps a model kind to a `LayerSpec`: a
+layer's tensor shapes, their init, and a hand-derived forward and backward
+(there is no autograd). `build_layout`, `init_params`, `forward` and
+`backward` are each one loop over layers that calls the spec.
+
+All parameters live in one flat float64 vector, laid out layer by layer as
+(``l<layer>.<name>``, shape, offset) entries; checkpoints store this layout.
+`backward` writes gradients into views of one zeroed vector of that layout.
 
 Layer equations
 ---------------
-MLP layer:        y = relu_or_id(x) stacking of affine maps, ReLU hidden.
+MLP layer:        y = x @ W.T + b, then ReLU on every layer but the last.
 Spline-KAN layer: y = silu(x) @ Wb.T + B(x) @ (scaler * Ws).T
                   where B(x) stacks the 8 B-spline basis values per input
                   feature and the spline path reads the raw activation.
@@ -20,8 +24,10 @@ RBF-KAN layer:    z = layernorm(x); phi_j(z) = exp(-((z - c_j)/h)^2) over 8
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +48,7 @@ MODEL_KINDS = (KIND_MLP, KIND_SPLINE, KIND_RBF)
 # Reference architectures for the three model kinds
 MLP_WIDTHS = (784, 200, 200, 10)
 KAN_WIDTHS = (784, 24, 24, 10)
+REFERENCE_WIDTHS = {KIND_MLP: MLP_WIDTHS, KIND_SPLINE: KAN_WIDTHS, KIND_RBF: KAN_WIDTHS}
 
 _LN_EPS = 1e-12  # float64; keeps normalized variance exact to ~1e-12
 
@@ -105,43 +112,171 @@ class ModelConfig:
 
 def default_config(kind: str) -> ModelConfig:
     """Reference architecture for `kind` (MLP [784,200,200,10], KANs [784,24,24,10])."""
-    widths = MLP_WIDTHS if kind == KIND_MLP else KAN_WIDTHS
-    return ModelConfig(kind=kind, layer_widths=widths)
+    return ModelConfig(kind=kind, layer_widths=REFERENCE_WIDTHS[kind])
+
+
+# ---------------------------------------------------------------------------
+# layer specs: p maps a tensor name to its view in the params, grad to its
+# view in the flat gradient; i and o are the layer's input and output widths
+
+
+class LayerSpec(NamedTuple):
+    shapes: Callable  # (cfg, i, o) -> [(name, shape), ...] in flat-vector order
+    init: Callable  # (cfg, gen, p, i, o) -> None; fills p in place
+    forward: Callable  # (cfg, p, x, last) -> (y, cache)
+    backward: Callable  # (cfg, p, cache, g, grad) -> g_in; fills grad in place
+
+
+def _mlp_shapes(cfg, i, o):
+    return [("weight", (o, i)), ("bias", (o,))]
+
+
+def _mlp_init(cfg, gen, p, i, o):
+    """Kaiming-uniform fan-in weights, zero bias."""
+    bound = np.sqrt(6.0 / i)
+    p["weight"][:] = gen.uniform(-bound, bound, (o, i))
+
+
+def _mlp_forward(cfg, p, x, last):
+    pre = x @ p["weight"].T + p["bias"]
+    if last:
+        return pre, {"x": x}
+    return relu(pre), {"x": x, "pre": pre}
+
+
+def _mlp_backward(cfg, p, cache, g, grad):
+    if "pre" in cache:
+        g = g * relu_backward(cache["pre"])
+    grad["weight"][:] = g.T @ cache["x"]
+    grad["bias"][:] = g.sum(axis=0)
+    return g @ p["weight"]
+
+
+def _spline_shapes(cfg, i, o):
+    c = cfg.grid_size + cfg.spline_order
+    return [("base_weight", (o, i)), ("spline_weight", (o, i, c)), ("spline_scaler", (o, i))]
+
+
+def _spline_init(cfg, gen, p, i, o):
+    """Uniform 1/sqrt(fan_in) base weights and scalers, small-noise coefficients."""
+    bound = 1.0 / np.sqrt(i)
+    ws = p["spline_weight"]
+    p["base_weight"][:] = gen.uniform(-bound, bound, (o, i))
+    ws[:] = gen.normal(0.0, 0.1 / np.sqrt(ws.shape[2]), ws.shape)
+    p["spline_scaler"][:] = gen.uniform(-bound, bound, (o, i))
+
+
+def _spline_forward(cfg, p, x, last):
+    grid = cfg.spline_grid()
+    ws, sc = p["spline_weight"], p["spline_scaler"]
+    bsz, i = x.shape
+    o, _, c = ws.shape
+    lower = bspline_basis_lower(x, grid)  # degree order-1, reused by backward
+    bas = basis_from_lower(x, grid, lower)  # (b, i, c)
+    ws_scaled = ws * sc[:, :, None]
+    y = silu(x) @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
+    return y, {"x": x, "basis": bas, "lower": lower}
+
+
+def _spline_backward(cfg, p, cache, g, grad):
+    x, bas = cache["x"], cache["basis"]
+    ws, sc = p["spline_weight"], p["spline_scaler"]
+    bsz, i = x.shape
+    o, _, c = ws.shape
+    grad["base_weight"][:] = g.T @ silu(x)
+    gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
+    grad["spline_weight"][:] = gw * sc[:, :, None]
+    grad["spline_scaler"][:] = (gw * ws).sum(axis=2)
+    ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
+    t = (g @ ws_scaled).reshape(bsz, i, c)
+    dbas = derivative_from_lower(cfg.spline_grid(), cache["lower"])
+    return g @ p["base_weight"] * silu_backward(x) + (t * dbas).sum(axis=2)
+
+
+def _layernorm(x: np.ndarray):
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    zhat = (x - mu) * inv
+    return zhat, inv
+
+
+def _rbf_shapes(cfg, i, o):
+    k = cfg.num_centers
+    return [("ln_gain", (i,)), ("ln_bias", (i,)), ("rbf_weight", (o, i, k)),
+            ("base_weight", (o, i)), ("base_bias", (o,))]
+
+
+def _rbf_init(cfg, gen, p, i, o):
+    """Clipped-normal weights at 1/sqrt(fan_in*centers) scale, uniform base
+    weights, zero biases, layernorm gain 1 / bias 0."""
+    p["ln_gain"][:] = 1.0
+    scale = 1.0 / np.sqrt(i * cfg.num_centers)
+    raw = gen.normal(0.0, scale, (o, i, cfg.num_centers))
+    p["rbf_weight"][:] = np.clip(raw, -2 * scale, 2 * scale)
+    bound = 1.0 / np.sqrt(i)
+    p["base_weight"][:] = gen.uniform(-bound, bound, (o, i))
+
+
+def _rbf_forward(cfg, p, x, last):
+    wr = p["rbf_weight"]
+    bsz, o = x.shape[0], wr.shape[0]
+    zhat, inv = _layernorm(x)
+    z = zhat * p["ln_gain"] + p["ln_bias"]
+    u = (z[:, :, None] - cfg.rbf_centers()) / cfg.rbf_bandwidth()
+    phi = np.exp(-(u**2))  # (b, i, centers)
+    y = phi.reshape(bsz, -1) @ wr.reshape(o, -1).T + x @ p["base_weight"].T + p["base_bias"]
+    return y, {"x": x, "zhat": zhat, "inv": inv, "phi": phi, "u": u}
+
+
+def _rbf_backward(cfg, p, cache, g, grad):
+    x, zhat, inv, phi, u = (cache[k] for k in ("x", "zhat", "inv", "phi", "u"))
+    wr = p["rbf_weight"]
+    bsz, i = x.shape
+    o = wr.shape[0]
+    grad["rbf_weight"][:] = (g.T @ phi.reshape(bsz, -1)).reshape(o, i, -1)
+    grad["base_weight"][:] = g.T @ x
+    grad["base_bias"][:] = g.sum(axis=0)
+    t = (g @ wr.reshape(o, -1)).reshape(bsz, i, -1)
+    dz = (t * phi * (-2.0 * u / cfg.rbf_bandwidth())).sum(axis=2)
+    grad["ln_gain"][:] = (dz * zhat).sum(axis=0)
+    grad["ln_bias"][:] = dz.sum(axis=0)
+    dzhat = dz * p["ln_gain"]
+    # layernorm backward with biased variance
+    g_ln = inv * (
+        dzhat
+        - dzhat.mean(axis=1, keepdims=True)
+        - zhat * (dzhat * zhat).mean(axis=1, keepdims=True)
+    )
+    return g_ln + g @ p["base_weight"]
+
+
+LAYER_SPECS = {
+    KIND_MLP: LayerSpec(_mlp_shapes, _mlp_init, _mlp_forward, _mlp_backward),
+    KIND_SPLINE: LayerSpec(_spline_shapes, _spline_init, _spline_forward, _spline_backward),
+    KIND_RBF: LayerSpec(_rbf_shapes, _rbf_init, _rbf_forward, _rbf_backward),
+}
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vector
 
 
 def build_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """Ordered (name, shape, offset) table for the flat parameter vector."""
+    spec = LAYER_SPECS[config.kind]
     layout = []
     offset = 0
-
-    def add(name, shape):
-        nonlocal offset
-        layout.append((name, tuple(shape), offset))
-        offset += int(np.prod(shape))
-
-    c = config.grid_size + config.spline_order
     widths = config.layer_widths
     for l, (i, o) in enumerate(zip(widths[:-1], widths[1:])):
-        if config.kind == KIND_MLP:
-            add(f"l{l}.weight", (o, i))
-            add(f"l{l}.bias", (o,))
-        elif config.kind == KIND_SPLINE:
-            add(f"l{l}.base_weight", (o, i))
-            add(f"l{l}.spline_weight", (o, i, c))
-            add(f"l{l}.spline_scaler", (o, i))
-        else:
-            add(f"l{l}.ln_gain", (i,))
-            add(f"l{l}.ln_bias", (i,))
-            add(f"l{l}.rbf_weight", (o, i, config.num_centers))
-            add(f"l{l}.base_weight", (o, i))
-            add(f"l{l}.base_bias", (o,))
+        for name, shape in spec.shapes(config, i, o):
+            layout.append((f"l{l}.{name}", tuple(shape), offset))
+            offset += math.prod(shape)
     return layout
 
 
 def param_count(config: ModelConfig) -> int:
-    layout = build_layout(config)
-    name, shape, offset = layout[-1]
-    return offset + int(np.prod(shape))
+    return sum(math.prod(shape) for _, shape, _ in build_layout(config))
 
 
 @dataclass
@@ -164,226 +299,71 @@ class ModelState:
             raise InternalError(
                 f"params length {self.params.shape} != expected ({expected},)"
             )
-        self._index = {name: (shape, off) for name, shape, off in self.layout}
+        self._layers = [[] for _ in range(self.config.n_layers)]
+        for name, shape, off in self.layout:
+            layer, short = name.split(".", 1)
+            self._layers[int(layer[1:])].append((short, shape, off))
 
     def view(self, name: str) -> np.ndarray:
-        shape, off = self._index[name]
-        return self.params[off : off + int(np.prod(shape))].reshape(shape)
+        layer, short = name.split(".", 1)
+        return self.layer_views(int(layer[1:]))[short]
+
+    def layer_views(self, l: int, flat: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Layer l's tensors by short name, as views into `flat` (default: params)."""
+        flat = self.params if flat is None else flat
+        return {
+            short: flat[off : off + math.prod(shape)].reshape(shape)
+            for short, shape, off in self._layers[l]
+        }
 
     def clone(self) -> "ModelState":
         return ModelState(self.config, self.params.copy(), list(self.layout))
 
 
-class _GradWriter:
-    """Accumulates named tensor gradients into one flat vector."""
-
-    def __init__(self, state: ModelState):
-        self.flat = np.zeros_like(state.params)
-        self._index = state._index
-
-    def set(self, name: str, value: np.ndarray):
-        shape, off = self._index[name]
-        self.flat[off : off + int(np.prod(shape))] = value.reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# initialization
-
-
 def init_params(config: ModelConfig, rng: RngStream) -> ModelState:
-    """Deterministic parameter initialization.
-
-    MLP: Kaiming-uniform fan-in weights, zero bias. Spline-KAN: uniform
-    1/sqrt(fan_in) base weights and scalers, small-noise spline coefficients.
-    RBF-KAN: clipped-normal spline weights at 1/sqrt(fan_in*centers) scale,
-    uniform base weights, zero biases, layernorm gain 1 / bias 0.
-    """
+    """Deterministic parameter initialization, layer by layer (see each spec's init)."""
     state = ModelState(config, np.zeros(param_count(config)))
+    spec = LAYER_SPECS[config.kind]
     gen = rng.child("init", config.kind).gen
     widths = config.layer_widths
     for l, (i, o) in enumerate(zip(widths[:-1], widths[1:])):
-        if config.kind == KIND_MLP:
-            bound = np.sqrt(6.0 / i)
-            state.view(f"l{l}.weight")[:] = gen.uniform(-bound, bound, (o, i))
-        elif config.kind == KIND_SPLINE:
-            bound = 1.0 / np.sqrt(i)
-            c = config.grid_size + config.spline_order
-            state.view(f"l{l}.base_weight")[:] = gen.uniform(-bound, bound, (o, i))
-            state.view(f"l{l}.spline_weight")[:] = gen.normal(
-                0.0, 0.1 / np.sqrt(c), (o, i, c)
-            )
-            state.view(f"l{l}.spline_scaler")[:] = gen.uniform(-bound, bound, (o, i))
-        else:
-            state.view(f"l{l}.ln_gain")[:] = 1.0
-            scale = 1.0 / np.sqrt(i * config.num_centers)
-            raw = gen.normal(0.0, scale, (o, i, config.num_centers))
-            state.view(f"l{l}.rbf_weight")[:] = np.clip(raw, -2 * scale, 2 * scale)
-            bound = 1.0 / np.sqrt(i)
-            state.view(f"l{l}.base_weight")[:] = gen.uniform(-bound, bound, (o, i))
+        spec.init(config, gen, state.layer_views(l), i, o)
     return state
 
 
-# ---------------------------------------------------------------------------
-# forward passes
-
-
-def _check_batch(config: ModelConfig, batch: np.ndarray):
-    if batch.ndim != 2 or batch.shape[1] != config.layer_widths[0]:
-        raise ConfigurationError(
-            f"batch shape {batch.shape} incompatible with input width "
-            f"{config.layer_widths[0]}"
-        )
-
-
-def mlp_forward(state: ModelState, batch: np.ndarray):
-    _check_batch(state.config, batch)
-    x = batch
-    layers = []
-    n = state.config.n_layers
-    for l in range(n):
-        w = state.view(f"l{l}.weight")
-        b = state.view(f"l{l}.bias")
-        pre = x @ w.T + b
-        layers.append({"x": x, "pre": pre})
-        x = relu(pre) if l < n - 1 else pre
-    return x, {"kind": KIND_MLP, "layers": layers, "state_id": id(state)}
-
-
-def spline_kan_forward(state: ModelState, batch: np.ndarray):
-    _check_batch(state.config, batch)
-    grid = state.config.spline_grid()
-    x = batch
-    layers = []
-    for l in range(state.config.n_layers):
-        wb = state.view(f"l{l}.base_weight")
-        ws = state.view(f"l{l}.spline_weight")
-        sc = state.view(f"l{l}.spline_scaler")
-        bsz, i = x.shape
-        o, _, c = ws.shape
-        lower = bspline_basis_lower(x, grid)  # degree order-1, reused by backward
-        bas = basis_from_lower(x, grid, lower)  # (b, i, c)
-        ws_scaled = ws * sc[:, :, None]
-        y = silu(x) @ wb.T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
-        layers.append({"x": x, "basis": bas, "lower": lower})
-        x = y
-    return x, {"kind": KIND_SPLINE, "layers": layers, "state_id": id(state)}
-
-
-def _layernorm(x: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    zhat = (x - mu) * inv
-    return zhat, inv
-
-
-def rbf_kan_forward(state: ModelState, batch: np.ndarray):
-    _check_batch(state.config, batch)
+def forward(state: ModelState, batch: np.ndarray):
+    """Logits of `batch` and the cache that `backward` needs."""
     cfg = state.config
-    centers = cfg.rbf_centers()
-    h = cfg.rbf_bandwidth()
+    if batch.ndim != 2 or batch.shape[1] != cfg.layer_widths[0]:
+        raise ConfigurationError(
+            f"batch shape {batch.shape} incompatible with input width {cfg.layer_widths[0]}"
+        )
+    spec = LAYER_SPECS[cfg.kind]
     x = batch
     layers = []
     for l in range(cfg.n_layers):
-        gain = state.view(f"l{l}.ln_gain")
-        lnb = state.view(f"l{l}.ln_bias")
-        wr = state.view(f"l{l}.rbf_weight")
-        wa = state.view(f"l{l}.base_weight")
-        bb = state.view(f"l{l}.base_bias")
-        bsz, i = x.shape
-        o = wr.shape[0]
-        zhat, inv = _layernorm(x)
-        z = zhat * gain + lnb
-        u = (z[:, :, None] - centers) / h
-        phi = np.exp(-(u**2))  # (b, i, centers)
-        y = phi.reshape(bsz, -1) @ wr.reshape(o, -1).T + x @ wa.T + bb
-        layers.append({"x": x, "zhat": zhat, "inv": inv, "z": z, "phi": phi, "u": u})
-        x = y
-    return x, {"kind": KIND_RBF, "layers": layers, "state_id": id(state)}
-
-
-_FORWARD = {
-    KIND_MLP: mlp_forward,
-    KIND_SPLINE: spline_kan_forward,
-    KIND_RBF: rbf_kan_forward,
-}
-
-
-def forward(state: ModelState, batch: np.ndarray):
-    """Dispatch to the forward pass for state.config.kind."""
-    return _FORWARD[state.config.kind](state, batch)
-
-
-# ---------------------------------------------------------------------------
-# backward passes
+        x, cache = spec.forward(cfg, state.layer_views(l), x, l == cfg.n_layers - 1)
+        layers.append(cache)
+    return x, {"params": state.params, "layers": layers}
 
 
 def backward(state: ModelState, cache: dict, grad_logits: np.ndarray):
     """Gradient of the (already reduced) loss w.r.t. all parameters and input.
 
     `grad_logits` is dL/dlogits from the loss; returns (flat_param_grad,
-    grad_input) with the flat gradient aligned with state.layout.
+    grad_input) with the flat gradient aligned with state.layout. The cache
+    must come from `forward` on this state's current params array.
     """
-    if cache.get("state_id") != id(state) or cache.get("kind") != state.config.kind:
+    if cache.get("params") is not state.params:
         raise InternalError("cache does not belong to this model state")
-    grads = _GradWriter(state)
+    cfg = state.config
+    spec = LAYER_SPECS[cfg.kind]
+    flat = np.zeros_like(state.params)
     g = grad_logits
-    n = state.config.n_layers
-    if cache["kind"] == KIND_MLP:
-        for l in range(n - 1, -1, -1):
-            lay = cache["layers"][l]
-            x = lay["x"]
-            grads.set(f"l{l}.weight", g.T @ x)
-            grads.set(f"l{l}.bias", g.sum(axis=0))
-            g = g @ state.view(f"l{l}.weight")
-            if l > 0:
-                g = g * relu_backward(cache["layers"][l - 1]["pre"])
-    elif cache["kind"] == KIND_SPLINE:
-        grid = state.config.spline_grid()
-        for l in range(n - 1, -1, -1):
-            lay = cache["layers"][l]
-            x, bas = lay["x"], lay["basis"]
-            wb = state.view(f"l{l}.base_weight")
-            ws = state.view(f"l{l}.spline_weight")
-            sc = state.view(f"l{l}.spline_scaler")
-            bsz, i = x.shape
-            o, _, c = ws.shape
-            grads.set(f"l{l}.base_weight", g.T @ silu(x))
-            gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
-            grads.set(f"l{l}.spline_weight", gw * sc[:, :, None])
-            grads.set(f"l{l}.spline_scaler", (gw * ws).sum(axis=2))
-            ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
-            t = (g @ ws_scaled).reshape(bsz, i, c)
-            dbas = derivative_from_lower(grid, lay["lower"])
-            g = g @ wb * silu_backward(x) + (t * dbas).sum(axis=2)
-    else:
-        cfg = state.config
-        centers = cfg.rbf_centers()
-        h = cfg.rbf_bandwidth()
-        for l in range(n - 1, -1, -1):
-            lay = cache["layers"][l]
-            x, zhat, inv, phi, u = lay["x"], lay["zhat"], lay["inv"], lay["phi"], lay["u"]
-            wr = state.view(f"l{l}.rbf_weight")
-            wa = state.view(f"l{l}.base_weight")
-            gain = state.view(f"l{l}.ln_gain")
-            bsz, i = x.shape
-            o = wr.shape[0]
-            grads.set(f"l{l}.rbf_weight", (g.T @ phi.reshape(bsz, -1)).reshape(o, i, -1))
-            grads.set(f"l{l}.base_weight", g.T @ x)
-            grads.set(f"l{l}.base_bias", g.sum(axis=0))
-            t = (g @ wr.reshape(o, -1)).reshape(bsz, i, -1)
-            dz = (t * phi * (-2.0 * u / h)).sum(axis=2)
-            grads.set(f"l{l}.ln_gain", (dz * zhat).sum(axis=0))
-            grads.set(f"l{l}.ln_bias", dz.sum(axis=0))
-            dzhat = dz * gain
-            # layernorm backward with biased variance
-            g_ln = inv * (
-                dzhat
-                - dzhat.mean(axis=1, keepdims=True)
-                - zhat * (dzhat * zhat).mean(axis=1, keepdims=True)
-            )
-            g = g_ln + g @ wa
-    return grads.flat, g
+    for l in range(cfg.n_layers - 1, -1, -1):
+        g = spec.backward(cfg, state.layer_views(l), cache["layers"][l], g,
+                          state.layer_views(l, flat))
+    return flat, g
 
 
 # ---------------------------------------------------------------------------

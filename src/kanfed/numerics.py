@@ -1,8 +1,8 @@
 """Deterministic dense numerics: RNG streams, activations, loss, SGD with momentum.
 
 Everything here works on float64 numpy arrays and is bit-deterministic:
-identical inputs give identical outputs on every run and platform. Matrices
-are plain 2-D ``np.ndarray`` with dtype float64, row-major.
+identical inputs give identical outputs on every run with the same numpy/BLAS
+build. Matrices are plain 2-D ``np.ndarray`` with dtype float64, row-major.
 """
 
 from __future__ import annotations
@@ -50,17 +50,6 @@ class MomentumBuffer:
     @classmethod
     def zeros(cls, n: int) -> "MomentumBuffer":
         return cls(velocity=np.zeros(n, dtype=np.float64))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigurationError(f"matmul expects 2-D arrays, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigurationError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    return a @ b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kanfed import cli
 from kanfed.cli import main
 from kanfed.config import (
     ExperimentConfig,
@@ -12,7 +13,7 @@ from kanfed.config import (
     load_config,
 )
 from kanfed.errors import ConfigurationError
-from kanfed.metrics import read_logs, strip_timing
+from kanfed.metrics import read_logs, scan_logs, strip_timing
 
 
 class TestConfig:
@@ -82,6 +83,40 @@ class TestRun:
         assert run_cli(*args) == 0
         assert "skip" in capsys.readouterr().out
         assert log.read_bytes() == before
+
+    def test_resume_with_other_settings_refused(self, synth_idx_dir, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        args = (
+            "run", "--models", "mlp", "--trials", "1",
+            "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir), "--seed", "5",
+        )
+        assert run_cli(*args, "--rounds", "1") == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert run_cli(*args, "--rounds", "2") == 1
+        assert "fed.n_rounds" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_failed_log_write_leaves_no_partial_log(self, synth_idx_dir, tmp_path, monkeypatch):
+        out_dir = tmp_path / "runs"
+        run_trial = cli.run_trial
+
+        def unserializable_second_trial(*args, trial_id, **kwargs):
+            trial = run_trial(*args, trial_id=trial_id, **kwargs)
+            if trial_id.endswith(":1"):
+                trial.records[-1].sampled_clients = [object()]  # json.dumps fails here
+            return trial
+
+        monkeypatch.setattr(cli, "run_trial", unserializable_second_trial)
+        with pytest.raises(TypeError):
+            run_cli(
+                "run", "--models", "mlp", "--trials", "2", "--rounds", "2",
+                "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir),
+            )
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["completed"] == ["mlp_trial00.jsonl"]
+        assert [t.trial_id for t in scan_logs(out_dir)["mlp"]] == ["mlp:0"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "mlp_trial00.jsonl"]
 
     def test_missing_data_dir_exit_2(self, tmp_path):
         code = run_cli(

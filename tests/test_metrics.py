@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from kanfed.metrics import (
     read_logs,
     scan_logs,
     strip_timing,
+    write_atomic,
     write_logs,
 )
 from kanfed.models import ModelConfig, ModelState, init_params, param_count
@@ -105,6 +107,26 @@ class TestLogs:
         assert sorted(groups) == ["mlp", "spline_kan"]
         assert len(groups["mlp"]) == 3
         assert len(groups["spline_kan"]) == 2
+
+    def test_failed_write_keeps_previous_files(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        write_atomic(manifest, lambda f: json.dump({"completed": ["a.jsonl"]}, f))
+        before = manifest.read_bytes()
+        with pytest.raises(TypeError):  # json.dump has written part of the text
+            write_atomic(manifest, lambda f: json.dump({"completed": [], "x": object()}, f))
+        assert manifest.read_bytes() == before
+
+        log = tmp_path / "a.jsonl"
+        write_logs(make_trial("t0"), log)
+        logged = log.read_bytes()
+        bad = make_trial("t1")
+        bad.records[1].sampled_clients = [object()]  # after the first line
+        for path in (log, tmp_path / "b.jsonl"):
+            with pytest.raises(TypeError):
+                write_logs(bad, path)
+        assert log.read_bytes() == logged
+        assert [t.trial_id for t in scan_logs(tmp_path)["mlp"]] == ["t0"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "manifest.json"]
 
     def test_scan_empty_dir(self, tmp_path):
         with pytest.raises(ReportError):

@@ -78,6 +78,51 @@ class TestParamCount:
                 expected += 2 * i + cfg.num_centers * i * o + i * o + o
         assert param_count(cfg) == expected
 
+    # checkpoints and perfbench/checks.py::unflatten read the flat vector in
+    # exactly this order: (name, shape, offset) of every tensor
+    REFERENCE_LAYOUTS = {
+        KIND_MLP: [
+            ("l0.weight", (200, 784), 0),
+            ("l0.bias", (200,), 156800),
+            ("l1.weight", (200, 200), 157000),
+            ("l1.bias", (200,), 197000),
+            ("l2.weight", (10, 200), 197200),
+            ("l2.bias", (10,), 199200),
+        ],
+        KIND_SPLINE: [
+            ("l0.base_weight", (24, 784), 0),
+            ("l0.spline_weight", (24, 784, 8), 18816),
+            ("l0.spline_scaler", (24, 784), 169344),
+            ("l1.base_weight", (24, 24), 188160),
+            ("l1.spline_weight", (24, 24, 8), 188736),
+            ("l1.spline_scaler", (24, 24), 193344),
+            ("l2.base_weight", (10, 24), 193920),
+            ("l2.spline_weight", (10, 24, 8), 194160),
+            ("l2.spline_scaler", (10, 24), 196080),
+        ],
+        KIND_RBF: [
+            ("l0.ln_gain", (784,), 0),
+            ("l0.ln_bias", (784,), 784),
+            ("l0.rbf_weight", (24, 784, 8), 1568),
+            ("l0.base_weight", (24, 784), 152096),
+            ("l0.base_bias", (24,), 170912),
+            ("l1.ln_gain", (24,), 170936),
+            ("l1.ln_bias", (24,), 170960),
+            ("l1.rbf_weight", (24, 24, 8), 170984),
+            ("l1.base_weight", (24, 24), 175592),
+            ("l1.base_bias", (24,), 176168),
+            ("l2.ln_gain", (24,), 176192),
+            ("l2.ln_bias", (24,), 176216),
+            ("l2.rbf_weight", (10, 24, 8), 176240),
+            ("l2.base_weight", (10, 24), 178160),
+            ("l2.base_bias", (10,), 178400),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_reference_layout_pinned(self, kind):
+        assert models.build_layout(default_config(kind)) == self.REFERENCE_LAYOUTS[kind]
+
     def test_layout_contiguous(self):
         for kind in MODEL_KINDS:
             layout = models.build_layout(default_config(kind))
@@ -243,6 +288,13 @@ class TestBackward:
         _, cache = forward(state, x)
         with pytest.raises(InternalError):
             backward(other, cache, np.zeros((2, 2)))
+
+    def test_cache_rejected_after_params_rebound(self):
+        state = init_params(small_config(KIND_MLP), RngStream(28))
+        _, cache = forward(state, np.zeros((2, 6)))
+        state.params = state.params.copy()
+        with pytest.raises(InternalError):
+            backward(state, cache, np.zeros((2, 2)))
 
 
 class TestSerialization:

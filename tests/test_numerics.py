@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from kanfed.errors import ConfigurationError, DataError, InternalError
+from kanfed.errors import DataError, InternalError
 from kanfed.numerics import (
     MomentumBuffer,
     RngStream,
-    matmul,
     sgd_momentum_step,
     sigmoid,
     silu,
     silu_backward,
     softmax_cross_entropy,
 )
-
-from conftest import rel_err
 
 
 class TestRngStream:
@@ -31,40 +28,6 @@ class TestRngStream:
         b = RngStream(5).child("y").gen.uniform(size=5)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9, dtype=float).reshape(3, 3)
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_hand_computed(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), [[2.0], [4.0]])
-
-    def test_against_triple_loop_oracle(self):
-        gen = RngStream(1).gen
-        a = gen.uniform(-1, 1, (5, 7))
-        b = gen.uniform(-1, 1, (7, 3))
-        oracle = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(7):
-                    oracle[i, j] += a[i, k] * b[k, j]
-        assert np.abs(matmul(a, b) - oracle).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        gen = RngStream(2).gen
-        for _ in range(10):
-            a, b, c = (gen.uniform(-1, 1, (4, 4)) for _ in range(3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert rel_err(lhs, rhs) < 1e-9
 
 
 class TestSilu:
