@@ -94,9 +94,15 @@ def _effective_config(args) -> cfgmod.ExperimentConfig:
 
 
 def _load_manifest(path: Path) -> dict:
-    if path.exists():
-        return json.loads(path.read_text())
-    return {"completed": []}
+    if not path.exists():
+        return {"completed": []}
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: not valid JSON ({e}); repair or remove it") from e
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("completed"), list):
+        raise DataError(f"{path}: not a kanfed manifest (no \"completed\" list)")
+    return manifest
 
 
 def cmd_run(args) -> int:

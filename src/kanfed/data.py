@@ -28,6 +28,9 @@ IDX_MAGIC_LABELS = 0x00000801
 # standard MNIST pixel statistics (after scaling to [0,1])
 MNIST_MEAN = 0.1307
 MNIST_STD = 0.3081
+# the normalized value of each pixel code 0..255, by the formula `normalize` uses
+PIXEL_LEVELS = (np.arange(256) / 255.0 - MNIST_MEAN) / MNIST_STD
+PIXEL_LEVELS.flags.writeable = False
 
 DEFAULT_MIRROR = "https://ossci-datasets.s3.amazonaws.com/mnist/"
 MNIST_FILES = {
@@ -41,13 +44,19 @@ MNIST_FILES = {
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, 784) float64
+    images: np.ndarray  # (N, 784): uint8 pixel codes before `normalize`, float64 after
     labels: np.ndarray  # (N,) int64 in [0, 10)
     split: str = "train"
     normalized: bool = False
+    codes: np.ndarray | None = None  # (N, 784) uint8 codes of normalized images, or None
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def model_inputs(self) -> np.ndarray:
+        """What training and evaluation feed the model: the codes, else the images."""
+        return self.images if self.codes is None else self.codes
 
 
 @dataclass
@@ -100,7 +109,7 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         )
     if labels.size and (labels.min() < 0 or labels.max() > 9):
         raise DataError(f"label out of range [0, 10): max={labels.max()}")
-    return Dataset(images=pixels.astype(np.float64), labels=labels, split=split)
+    return Dataset(images=pixels, labels=labels, split=split)
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> None:
@@ -117,11 +126,26 @@ def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> Non
 
 
 def normalize(ds: Dataset) -> Dataset:
-    """Scale pixels to [0,1] then standardize with the fixed MNIST constants."""
+    """Scale pixels to [0,1] then standardize with the fixed MNIST constants.
+
+    The pixels must be codes: uint8, or integer values in [0, 255]. They are
+    kept as uint8 `codes`, and `images` becomes `PIXEL_LEVELS[codes]`.
+    """
     if ds.normalized:
         raise DataError("dataset is already normalized")
-    images = (ds.images / 255.0 - MNIST_MEAN) / MNIST_STD
-    return replace(ds, images=images, normalized=True)
+    pixels = np.asarray(ds.images)
+    if pixels.dtype != np.uint8:
+        numeric = pixels.dtype.kind in "iuf"
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+            codes = pixels.astype(np.uint8) if numeric else None
+        if codes is None or not np.array_equal(codes, pixels):
+            found = f" in [{pixels.min()}, {pixels.max()}]" if numeric else ""
+            raise DataError(
+                f"{ds.split} pixels must be uint8 codes or integer values in [0, 255], "
+                f"got {pixels.dtype}{found}"
+            )
+        pixels = codes
+    return replace(ds, images=PIXEL_LEVELS[pixels], codes=pixels, normalized=True)
 
 
 def _jittered_shard_sizes(

@@ -83,6 +83,7 @@ def local_train(
     buf = MomentumBuffer.zeros(len(local.params))
     gen = rng.gen
     indices = part.indices
+    inputs = train.model_inputs
     last_losses: list[tuple[float, float, int]] = []
     for epoch in range(cfg.local_epochs):
         order = gen.permutation(len(indices))
@@ -90,7 +91,7 @@ def local_train(
             last_losses.clear()
         for start in range(0, len(order), cfg.batch_size):
             sel = indices[order[start : start + cfg.batch_size]]
-            imgs = train.images[sel]
+            imgs = inputs[sel]
             labs = train.labels[sel]
             logits, cache = forward(local, imgs)
             loss, grad_logits = softmax_cross_entropy(logits, labs)

@@ -46,13 +46,15 @@ def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[f
     """Accuracy and mean cross-entropy on the full test set.
 
     Batched for memory only; the result is independent of batch_size.
-    Argmax ties break toward the lowest class index.
+    Argmax ties break toward the lowest class index. Reads the pixel codes
+    when the dataset has them (bit-identical to reading its images).
     """
     n = len(test)
+    inputs = test.model_inputs
     correct = 0
     loss_sum = 0.0
     for start in range(0, n, batch_size):
-        imgs = test.images[start : start + batch_size]
+        imgs = inputs[start : start + batch_size]
         labs = test.labels[start : start + batch_size]
         logits, _ = forward(model, imgs)
         correct += int((np.argmax(logits, axis=1) == labs).sum())

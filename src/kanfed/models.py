@@ -10,6 +10,20 @@ All parameters live in one flat float64 vector, laid out layer by layer as
 (``l<layer>.<name>``, shape, offset) entries; checkpoints store this layout.
 `backward` writes gradients into views of one zeroed vector of that layout.
 
+Pixel-code input
+----------------
+`forward` takes either float64 inputs or uint8 pixel codes, the form in
+which training and evaluation pass a normalized `Dataset`'s `codes`. A code
+c stands for the input value `data.PIXEL_LEVELS[c]`, so layer 0 only ever
+sees 256 distinct values and reads them from 256-row tables: the MLP and
+the RBF-KAN read `PIXEL_LEVELS[codes]`, and the Spline-KAN reads silu and
+its 8 cubic basis values per code from tables built once per grid by the
+same `silu`, `bspline_basis_lower` and `basis_from_lower` (read-only,
+cached). Each value is the same float64 result the float path computes, so
+logits and parameter gradients are bit-identical to those of the float
+input `PIXEL_LEVELS[codes]`. A code has no gradient: for code input
+`backward` skips the layer-0 input gradient and returns None in its place.
+
 Layer equations
 ---------------
 MLP layer:        y = x @ W.T + b, then ReLU on every layer but the last.
@@ -23,6 +37,7 @@ RBF-KAN layer:    z = layernorm(x); phi_j(z) = exp(-((z - c_j)/h)^2) over 8
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -31,6 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .data import PIXEL_LEVELS
 from .errors import ConfigurationError, DataError, InternalError
 from .numerics import RngStream, relu, relu_backward, silu, silu_backward
 from .splines import (
@@ -117,14 +133,17 @@ def default_config(kind: str) -> ModelConfig:
 
 # ---------------------------------------------------------------------------
 # layer specs: p maps a tensor name to its view in the params, grad to its
-# view in the flat gradient; i and o are the layer's input and output widths
+# view in the flat gradient; i and o are the layer's input and output widths.
+# A forward gets the layer input x and, at layer 0 of a pixel-code batch, the
+# codes with x == PIXEL_LEVELS[codes] (else None). A backward returns the
+# input gradient only when need_input is true, else None.
 
 
 class LayerSpec(NamedTuple):
     shapes: Callable  # (cfg, i, o) -> [(name, shape), ...] in flat-vector order
     init: Callable  # (cfg, gen, p, i, o) -> None; fills p in place
-    forward: Callable  # (cfg, p, x, last) -> (y, cache)
-    backward: Callable  # (cfg, p, cache, g, grad) -> g_in; fills grad in place
+    forward: Callable  # (cfg, p, x, codes, last) -> (y, cache)
+    backward: Callable  # (cfg, p, cache, g, grad, need_input) -> g_in or None; fills grad
 
 
 def _mlp_shapes(cfg, i, o):
@@ -137,19 +156,19 @@ def _mlp_init(cfg, gen, p, i, o):
     p["weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _mlp_forward(cfg, p, x, last):
+def _mlp_forward(cfg, p, x, codes, last):
     pre = x @ p["weight"].T + p["bias"]
     if last:
         return pre, {"x": x}
     return relu(pre), {"x": x, "pre": pre}
 
 
-def _mlp_backward(cfg, p, cache, g, grad):
+def _mlp_backward(cfg, p, cache, g, grad, need_input):
     if "pre" in cache:
         g = g * relu_backward(cache["pre"])
     grad["weight"][:] = g.T @ cache["x"]
     grad["bias"][:] = g.sum(axis=0)
-    return g @ p["weight"]
+    return g @ p["weight"] if need_input else None
 
 
 def _spline_shapes(cfg, i, o):
@@ -166,27 +185,44 @@ def _spline_init(cfg, gen, p, i, o):
     p["spline_scaler"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _spline_forward(cfg, p, x, last):
-    grid = cfg.spline_grid()
+@functools.lru_cache(maxsize=None)
+def _spline_code_tables(grid_size: int, order: int, lo: float, hi: float):
+    """silu and the degree-order basis of every pixel code: (256,), (256, n_basis)."""
+    grid = SplineGrid(grid_size, order, lo, hi)
+    act = silu(PIXEL_LEVELS)
+    bas = basis_from_lower(PIXEL_LEVELS, grid, bspline_basis_lower(PIXEL_LEVELS, grid))
+    act.flags.writeable = bas.flags.writeable = False  # shared by every caller
+    return act, bas
+
+
+def _spline_forward(cfg, p, x, codes, last):
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
-    lower = bspline_basis_lower(x, grid)  # degree order-1, reused by backward
-    bas = basis_from_lower(x, grid, lower)  # (b, i, c)
+    if codes is None:
+        grid = cfg.spline_grid()
+        lower = bspline_basis_lower(x, grid)  # degree order-1, reused by backward
+        act, bas = silu(x), basis_from_lower(x, grid, lower)  # (b, i), (b, i, c)
+    else:
+        act_table, bas_table = _spline_code_tables(cfg.grid_size, cfg.spline_order,
+                                                   *cfg.grid_range)
+        lower, act, bas = None, act_table.take(codes), bas_table.take(codes, axis=0)
     ws_scaled = ws * sc[:, :, None]
-    y = silu(x) @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
-    return y, {"x": x, "basis": bas, "lower": lower}
+    y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
+    return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
 
 
-def _spline_backward(cfg, p, cache, g, grad):
+def _spline_backward(cfg, p, cache, g, grad, need_input):
     x, bas = cache["x"], cache["basis"]
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
-    grad["base_weight"][:] = g.T @ silu(x)
+    grad["base_weight"][:] = g.T @ cache["silu"]
     gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
     grad["spline_weight"][:] = gw * sc[:, :, None]
     grad["spline_scaler"][:] = (gw * ws).sum(axis=2)
+    if not need_input:
+        return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
     t = (g @ ws_scaled).reshape(bsz, i, c)
     dbas = derivative_from_lower(cfg.spline_grid(), cache["lower"])
@@ -218,7 +254,7 @@ def _rbf_init(cfg, gen, p, i, o):
     p["base_weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _rbf_forward(cfg, p, x, last):
+def _rbf_forward(cfg, p, x, codes, last):
     wr = p["rbf_weight"]
     bsz, o = x.shape[0], wr.shape[0]
     zhat, inv = _layernorm(x)
@@ -229,7 +265,7 @@ def _rbf_forward(cfg, p, x, last):
     return y, {"x": x, "zhat": zhat, "inv": inv, "phi": phi, "u": u}
 
 
-def _rbf_backward(cfg, p, cache, g, grad):
+def _rbf_backward(cfg, p, cache, g, grad, need_input):
     x, zhat, inv, phi, u = (cache[k] for k in ("x", "zhat", "inv", "phi", "u"))
     wr = p["rbf_weight"]
     bsz, i = x.shape
@@ -241,6 +277,8 @@ def _rbf_backward(cfg, p, cache, g, grad):
     dz = (t * phi * (-2.0 * u / cfg.rbf_bandwidth())).sum(axis=2)
     grad["ln_gain"][:] = (dz * zhat).sum(axis=0)
     grad["ln_bias"][:] = dz.sum(axis=0)
+    if not need_input:
+        return None
     dzhat = dz * p["ln_gain"]
     # layernorm backward with biased variance
     g_ln = inv * (
@@ -332,27 +370,34 @@ def init_params(config: ModelConfig, rng: RngStream) -> ModelState:
 
 
 def forward(state: ModelState, batch: np.ndarray):
-    """Logits of `batch` and the cache that `backward` needs."""
+    """Logits of `batch` and the cache that `backward` needs.
+
+    `batch` is float input, or uint8 pixel codes that stand for the input
+    `PIXEL_LEVELS[batch]` (see the module docstring).
+    """
     cfg = state.config
     if batch.ndim != 2 or batch.shape[1] != cfg.layer_widths[0]:
         raise ConfigurationError(
             f"batch shape {batch.shape} incompatible with input width {cfg.layer_widths[0]}"
         )
     spec = LAYER_SPECS[cfg.kind]
-    x = batch
+    codes = batch if batch.dtype == np.uint8 else None
+    x = batch if codes is None else PIXEL_LEVELS.take(codes)
     layers = []
     for l in range(cfg.n_layers):
-        x, cache = spec.forward(cfg, state.layer_views(l), x, l == cfg.n_layers - 1)
+        x, cache = spec.forward(cfg, state.layer_views(l), x, codes if l == 0 else None,
+                                l == cfg.n_layers - 1)
         layers.append(cache)
-    return x, {"params": state.params, "layers": layers}
+    return x, {"params": state.params, "layers": layers, "codes": codes is not None}
 
 
 def backward(state: ModelState, cache: dict, grad_logits: np.ndarray):
     """Gradient of the (already reduced) loss w.r.t. all parameters and input.
 
     `grad_logits` is dL/dlogits from the loss; returns (flat_param_grad,
-    grad_input) with the flat gradient aligned with state.layout. The cache
-    must come from `forward` on this state's current params array.
+    grad_input) with the flat gradient aligned with state.layout. grad_input
+    is None when the batch was pixel codes. The cache must come from
+    `forward` on this state's current params array.
     """
     if cache.get("params") is not state.params:
         raise InternalError("cache does not belong to this model state")
@@ -362,7 +407,7 @@ def backward(state: ModelState, cache: dict, grad_logits: np.ndarray):
     g = grad_logits
     for l in range(cfg.n_layers - 1, -1, -1):
         g = spec.backward(cfg, state.layer_views(l), cache["layers"][l], g,
-                          state.layer_views(l, flat))
+                          state.layer_views(l, flat), l > 0 or not cache["codes"])
     return flat, g
 
 

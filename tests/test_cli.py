@@ -118,6 +118,20 @@ class TestRun:
         assert [t.trial_id for t in scan_logs(out_dir)["mlp"]] == ["mlp:0"]
         assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "mlp_trial00.jsonl"]
 
+    @pytest.mark.parametrize("text", ['{"completed": [', '[]'])
+    def test_corrupt_manifest_exit_2(self, synth_idx_dir, tmp_path, capsys, text):
+        out_dir = tmp_path / "runs"
+        out_dir.mkdir()
+        (out_dir / "manifest.json").write_text(text)
+        code = run_cli(
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and "manifest.json" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
     def test_missing_data_dir_exit_2(self, tmp_path):
         code = run_cli(
             "run", "--models", "mlp", "--trials", "1", "--rounds", "1",

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from kanfed.data import (
+    MNIST_MEAN,
+    MNIST_STD,
+    PIXEL_LEVELS,
     Dataset,
     check_partition,
     load_idx,
@@ -40,6 +43,7 @@ class TestLoadIdx:
         imgs, labs = write_fixture_idx(tmp_path, pixels, [3, 9])
         ds = load_idx(imgs, labs)
         assert ds.images.shape == (2, 784)
+        assert ds.images.dtype == np.uint8 and ds.codes is None
         assert np.all(ds.images[0] == 7.0)
         assert np.all(ds.images[1] == 250.0)
         assert list(ds.labels) == [3, 9]
@@ -88,6 +92,26 @@ class TestNormalize:
         ds = normalize(Dataset(images=np.zeros((1, 2)), labels=np.array([0])))
         with pytest.raises(DataError):
             normalize(ds)
+
+    def test_pixel_levels_bit_exact(self):
+        codes = np.arange(256)
+        want = (codes.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD
+        assert PIXEL_LEVELS.shape == (256,) and np.array_equal(PIXEL_LEVELS, want)
+        assert not PIXEL_LEVELS.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
+    def test_keeps_codes(self, dtype):
+        pixels = np.arange(256).reshape(4, 64).astype(dtype)
+        out = normalize(Dataset(images=pixels, labels=np.zeros(4, dtype=np.int64)))
+        assert out.codes.dtype == np.uint8 and np.array_equal(out.codes, pixels)
+        assert out.images.dtype == np.float64
+        assert np.array_equal(out.images, (pixels.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD)
+
+    @pytest.mark.parametrize("bad", [[[256, 0]], [[-1, 0]], [[0.5, 0]], [[np.nan, 0]],
+                                     [[np.inf, 0]], [["1", "0"]]])
+    def test_non_code_pixels_rejected(self, bad):
+        with pytest.raises(DataError, match="uint8 codes"):
+            normalize(Dataset(images=np.array(bad), labels=np.array([0])))
 
 
 class TestPartition:

@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -234,6 +236,26 @@ class TestRunTrial:
             assert ra.test_loss == rb.test_loss
             assert ra.train_loss == rb.train_loss
             assert ra.sampled_clients == rb.sampled_clients
+
+    @pytest.mark.parametrize("kind", ["mlp", "spline_kan", "rbf_kan"])
+    def test_pixel_codes_match_float_images(self, small_data, kind):
+        # training and evaluation read the uint8 codes; dropping them forces the
+        # float path on the very same normalized images. Batch 8 takes enough
+        # steps that a one-ulp change to the silu or basis tables shows here, and
+        # lr 0.02 keeps every model finite, so NaN records cannot hide a difference.
+        train, test = small_data
+        assert train.codes is not None and test.codes is not None
+        parts = pathological_partition(train, 10, 2, RngStream(15))
+        fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.3,
+                               batch_size=8, lr=0.02)
+        cfg = ModelConfig(kind=kind, layer_widths=(784, 8, 6, 10))
+        runs = [
+            run_trial(cfg, fed, tr, te, parts, 16, kind)
+            for tr, te in ((train, test), (replace(train, codes=None), replace(test, codes=None)))
+        ]
+        assert all(np.isfinite(r.test_loss) for r in runs[0].records)
+        records = [[repr({**asdict(r), "elapsed_s": None}) for r in run.records] for run in runs]
+        assert len(records[0]) == 2 and records[0] == records[1]
 
     def test_parallel_matches_serial(self, small_data):
         train, test = small_data

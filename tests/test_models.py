@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kanfed import models
+from kanfed.data import PIXEL_LEVELS
 from kanfed.errors import ConfigurationError, InternalError
 from kanfed.models import (
     KIND_MLP,
@@ -295,6 +296,37 @@ class TestBackward:
         state.params = state.params.copy()
         with pytest.raises(InternalError):
             backward(state, cache, np.zeros((2, 2)))
+
+
+class TestPixelCodes:
+    """uint8 pixel codes take the table path; it must match the float path bit for bit."""
+
+    @staticmethod
+    def both_paths(state, codes, seed):
+        gl = RngStream(seed).gen.normal(size=(len(codes), state.config.layer_widths[-1]))
+        out = []
+        for batch in (codes, PIXEL_LEVELS[codes]):
+            logits, cache = forward(state, batch)
+            out.append((logits, *backward(state, cache, gl)))
+        return out
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("batch", [64, 512])
+    def test_reference_configs_bit_identical(self, kind, batch):
+        state = init_params(default_config(kind), RngStream(40))
+        codes = RngStream(41).gen.integers(0, 256, (batch, 784)).astype(np.uint8)
+        (lc, gc, gxc), (lf, gf, gxf) = self.both_paths(state, codes, 42)
+        assert np.array_equal(lc, lf)
+        assert np.array_equal(gc, gf)
+        assert gxc is None and gxf.shape == (batch, 784)
+
+    def test_every_code_on_another_grid(self):
+        cfg = ModelConfig(kind=KIND_SPLINE, layer_widths=(256, 4, 3), grid_size=3,
+                          grid_range=(-0.5, 2.0))
+        state = init_params(cfg, RngStream(43))
+        codes = np.stack([np.arange(256, dtype=np.uint8), np.arange(256)[::-1].astype(np.uint8)])
+        (lc, gc, gxc), (lf, gf, _) = self.both_paths(state, codes, 44)
+        assert np.array_equal(lc, lf) and np.array_equal(gc, gf) and gxc is None
 
 
 class TestSerialization:
