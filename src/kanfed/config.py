@@ -46,19 +46,18 @@ def derive_trial_seed(master_seed: int, model: str, trial_index: int) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
+def _values(cfg: ExperimentConfig) -> dict:
+    """Every setting by its dotted key, in field order, `fed` last."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "fed"}
+    out.update({f"fed.{f.name}": getattr(cfg.fed, f.name) for f in fields(cfg.fed)})
+    return out
+
+
 def dump_config(cfg: ExperimentConfig) -> str:
-    lines = [
-        "models = " + ",".join(cfg.models),
-        f"trials_per_model = {cfg.trials_per_model}",
-        f"master_seed = {cfg.master_seed}",
-        f"data_dir = {cfg.data_dir}",
-        f"out_dir = {cfg.out_dir}",
-        f"n_clients = {cfg.n_clients}",
-        f"labels_per_client = {cfg.labels_per_client}",
-    ]
-    for f in fields(FederationConfig):
-        lines.append(f"fed.{f.name} = {getattr(cfg.fed, f.name)!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {','.join(value) if isinstance(value, tuple) else value}\n"
+        for key, value in _values(cfg).items()
+    )
 
 
 def differing_keys(a: str, b: str) -> list[str]:
@@ -67,8 +66,8 @@ def differing_keys(a: str, b: str) -> list[str]:
     return sorted(k for k in da.keys() | db.keys() if da.get(k) != db.get(k))
 
 
-# coercion of each fed.* value, from the type of the field's default
-_FED_TYPES = {f.name: type(f.default) for f in fields(FederationConfig)}
+# coercion of each value, from the type of its default
+_TYPES = {key: type(value) for key, value in _values(ExperimentConfig()).items()}
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -82,19 +81,17 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigurationError(f"config line {lineno}: expected 'key = value'")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip().strip("'\"")
-        if key.startswith("fed."):
-            name = key[4:]
-            if name not in _FED_TYPES:
-                raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
-            fed[name] = _FED_TYPES[name](raw)
-        elif key == "models":
-            top["models"] = tuple(m.strip() for m in raw.split(",") if m.strip())
-        elif key in ("trials_per_model", "master_seed", "n_clients", "labels_per_client"):
-            top[key] = int(raw)
-        elif key in ("data_dir", "out_dir"):
-            top[key] = raw
-        else:
+        convert = _TYPES.get(key)
+        if convert is None:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+        if convert is tuple:
+            value = tuple(m.strip() for m in raw.split(",") if m.strip())
+        else:
+            value = convert(raw)
+        if key.startswith("fed."):
+            fed[key[4:]] = value
+        else:
+            top[key] = value
     return ExperimentConfig(fed=FederationConfig(**fed), **top)
 
 

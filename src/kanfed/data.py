@@ -1,9 +1,11 @@
 """MNIST loading, normalization and the pathological non-IID partitioner.
 
-The partitioner sorts training indices by label, cuts each label's pool into
-20 shards of jittered size, and deals two shards with distinct labels to each
-of 100 clients, so every client sees exactly two digits. Mean client size is
-exactly total/n_clients (600 for MNIST).
+The partitioner sorts training indices by label, cuts the label pools into
+n_clients * k shards of jittered size, an equal number per label, and deals
+k shards with distinct labels to each client, so every client sees exactly k
+digits. k is `labels_per_client`, 2 by default, which for 100 clients makes
+20 shards per label. Mean client size is exactly total/n_clients (600 for
+MNIST).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class Dataset:
     images: np.ndarray  # (N, 784): uint8 pixel codes before `normalize`, float64 after
     labels: np.ndarray  # (N,) int64 in [0, 10)
     split: str = "train"
-    normalized: bool = False
     codes: np.ndarray | None = None  # (N, 784) uint8 codes of normalized images, or None
 
     def __len__(self) -> int:
@@ -131,7 +132,7 @@ def normalize(ds: Dataset) -> Dataset:
     The pixels must be codes: uint8, or integer values in [0, 255]. They are
     kept as uint8 `codes`, and `images` becomes `PIXEL_LEVELS[codes]`.
     """
-    if ds.normalized:
+    if ds.codes is not None:
         raise DataError("dataset is already normalized")
     pixels = np.asarray(ds.images)
     if pixels.dtype != np.uint8:
@@ -145,7 +146,7 @@ def normalize(ds: Dataset) -> Dataset:
                 f"got {pixels.dtype}{found}"
             )
         pixels = codes
-    return replace(ds, images=PIXEL_LEVELS[pixels], codes=pixels, normalized=True)
+    return replace(ds, images=PIXEL_LEVELS[pixels], codes=pixels)
 
 
 def _jittered_shard_sizes(
@@ -176,7 +177,22 @@ def _jittered_shard_sizes(
     return sizes.tolist()
 
 
-_DEAL_RETRIES = 50  # reshuffles tried before dealing distinct-label shard pairs fails
+_DEAL_RETRIES = 50  # reshuffles tried before dealing distinct-label shard sets fails
+
+
+def _deal_distinct(order: list, shards: list, a: int, k: int) -> bool:
+    """Make the labels of slots a..a+k-1 of `order` distinct by swapping in later
+    shards; False when no later shard has a label the slots still lack."""
+    for s in range(a + 1, a + k):
+        held = {shards[order[i]][0] for i in range(a, s)}
+        if shards[order[s]][0] in held:
+            for j in range(s + 1, len(order)):
+                if shards[order[j]][0] not in held:
+                    order[s], order[j] = order[j], order[s]
+                    break
+            else:
+                return False
+    return True
 
 
 def pathological_partition(
@@ -185,12 +201,15 @@ def pathological_partition(
     labels_per_client: int = 2,
     rng: RngStream | None = None,
 ) -> list[ClientPartition]:
-    """Split the training set so each client holds exactly two digit labels."""
+    """Split the training set so each client holds exactly `labels_per_client` digit labels."""
     if rng is None:
         raise ConfigurationError("pathological_partition requires an RngStream")
     labels = np.unique(ds.labels)
     n_labels = len(labels)
-    n_shards = n_clients * labels_per_client
+    k = labels_per_client
+    if not 1 <= k <= n_labels:
+        raise ConfigurationError(f"labels_per_client must be in [1, {n_labels}], got {k}")
+    n_shards = n_clients * k
     if n_shards % n_labels != 0:
         raise ConfigurationError(
             f"{n_shards} shards not divisible across {n_labels} labels"
@@ -198,7 +217,7 @@ def pathological_partition(
     shards_per_label = n_shards // n_labels
 
     gen = rng.child("partition").gen
-    # per-shard bounds chosen so any pair of shards stays within
+    # per-shard bounds chosen so any k shards stay within
     # [2/3, 3/2] of the mean client size (400..900 for MNIST defaults)
     shard_base = len(ds) / n_shards
     lo = int(np.ceil(shard_base * 2.0 / 3.0))
@@ -213,31 +232,16 @@ def pathological_partition(
             shards.append((int(lab), idx[pos : pos + s]))
             pos += s
 
-    shard_labels = None
     for _ in range(_DEAL_RETRIES):
-        order = gen.permutation(len(shards))
-        ok = True
-        order = list(order)
-        for c in range(n_clients):
-            a = 2 * c
-            if shards[order[a]][0] == shards[order[a + 1]][0]:
-                # find a later shard with a different label and swap it in
-                for j in range(a + 2, len(order)):
-                    if shards[order[j]][0] != shards[order[a]][0]:
-                        order[a + 1], order[j] = order[j], order[a + 1]
-                        break
-                else:
-                    ok = False
-                    break
-        if ok:
-            shard_labels = order
+        order = list(gen.permutation(len(shards)))
+        if all(_deal_distinct(order, shards, k * c, k) for c in range(n_clients)):
             break
-    if shard_labels is None:
-        raise InternalError("could not deal distinct-label shard pairs")
+    else:
+        raise InternalError("could not deal distinct-label shard sets")
 
     parts = []
     for c in range(n_clients):
-        picked = [shards[shard_labels[2 * c]], shards[shard_labels[2 * c + 1]]]
+        picked = [shards[i] for i in order[k * c : k * (c + 1)]]
         indices = np.sort(np.concatenate([p[1] for p in picked]))
         parts.append(
             ClientPartition(

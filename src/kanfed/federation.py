@@ -2,8 +2,10 @@
 
 Each round samples 10% of the clients, trains the global model locally for
 5 epochs of SGD with momentum, then applies the sample-size-weighted mean
-of the client deltas through a server-side momentum buffer. Client optimizer
-state never survives a round; server momentum persists for the whole trial.
+of the client deltas through a server-side momentum buffer. The server step is
+the clients' momentum step, `sgd_momentum_step`, taken on that mean delta as a
+pseudo-gradient (FedAvgM). Client optimizer state never survives a round;
+server momentum persists for the whole trial.
 
 Determinism contract: every random decision comes from a substream keyed by
 (seed, round, client), and aggregation always runs in client-id order, so
@@ -22,7 +24,7 @@ from .data import ClientPartition, Dataset
 from .errors import ConfigurationError, InternalError
 from .metrics import RoundRecord, TrialSummary, evaluate
 from .models import ModelConfig, ModelState, backward, forward, init_params
-from .numerics import MomentumBuffer, RngStream, sgd_momentum_step, softmax_cross_entropy
+from .numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
 
 
 @dataclass
@@ -80,7 +82,7 @@ def local_train(
     if len(part) == 0:
         raise InternalError(f"client {part.client_id} has no data")
     local = global_model.clone()
-    buf = MomentumBuffer.zeros(len(local.params))
+    velocity = np.zeros(len(local.params))
     gen = rng.gen
     indices = part.indices
     inputs = train.model_inputs
@@ -96,7 +98,7 @@ def local_train(
             logits, cache = forward(local, imgs)
             loss, grad_logits = softmax_cross_entropy(logits, labs)
             grads, _ = backward(local, cache, grad_logits)
-            sgd_momentum_step(local.params, grads, buf, cfg.lr, cfg.client_momentum)
+            sgd_momentum_step(local.params, grads, velocity, cfg.lr, cfg.client_momentum)
             if epoch == cfg.local_epochs - 1:
                 acc = float((np.argmax(logits, axis=1) == labs).mean())
                 last_losses.append((loss, acc, len(sel)))
@@ -131,11 +133,9 @@ def server_step(
     server_lr: float = 1.0,
 ) -> ServerState:
     """m <- beta*m + avg_delta; global <- global + lr*m (in place)."""
-    if len(pseudo_gradient) != len(state.momentum_buf):
-        raise InternalError("pseudo-gradient length mismatch")
-    state.momentum_buf *= server_momentum
-    state.momentum_buf += pseudo_gradient
-    state.global_model.params += server_lr * state.momentum_buf
+    # the mean delta points downhill, unlike a gradient, hence the negated lr
+    sgd_momentum_step(state.global_model.params, pseudo_gradient, state.momentum_buf,
+                      -server_lr, server_momentum)
     return state
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ class RoundRecord:
     test_loss: float
     train_acc: float
     train_loss: float
+    sampled_clients: list[int]
     elapsed_s: float
-    sampled_clients: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -78,22 +78,14 @@ def write_atomic(path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
+_ROUND_KEYS = tuple(f.name for f in fields(RoundRecord))
+_SUMMARY_KEYS = ("trial_id", "model", "seed", "n_rounds", "total_time_s")
+
+
 def write_logs(trial: TrialSummary, path) -> None:
     """One JSONL line per round, then a trailing summary line; written atomically."""
-    lines = [
-        {
-            "trial_id": trial.trial_id,
-            "model": trial.model,
-            "round": r.round,
-            "test_acc": r.test_acc,
-            "test_loss": r.test_loss,
-            "train_acc": r.train_acc,
-            "train_loss": r.train_loss,
-            "sampled_clients": r.sampled_clients,
-            "elapsed_s": r.elapsed_s,
-        }
-        for r in trial.records
-    ]
+    lines = [{"trial_id": trial.trial_id, "model": trial.model, **asdict(r)}
+             for r in trial.records]
     lines.append(
         {
             "trial_id": trial.trial_id,
@@ -118,18 +110,14 @@ def read_logs(path) -> TrialSummary:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}: malformed JSON at line {lineno}: {e}") from e
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}: line {lineno} is not a JSON object")
+            keys = _ROUND_KEYS if "round" in obj else _SUMMARY_KEYS
+            missing = [k for k in keys if k not in obj]
+            if missing:
+                raise DataError(f"{path}: line {lineno} lacks {', '.join(missing)}")
             if "round" in obj:
-                records.append(
-                    RoundRecord(
-                        round=obj["round"],
-                        test_acc=obj["test_acc"],
-                        test_loss=obj["test_loss"],
-                        train_acc=obj["train_acc"],
-                        train_loss=obj["train_loss"],
-                        elapsed_s=obj["elapsed_s"],
-                        sampled_clients=obj["sampled_clients"],
-                    )
-                )
+                records.append(RoundRecord(**{k: obj[k] for k in keys}))
             else:
                 summary = obj
     if summary is None:

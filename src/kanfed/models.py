@@ -40,8 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -84,7 +83,10 @@ class ModelConfig:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
         if len(self.layer_widths) < 2:
             raise ConfigurationError("need at least input and output widths")
+        # tuples of one number type, so a config read back from JSON lists equals this one
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
+        for name in ("grid_range", "rbf_range"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     @property
     def n_layers(self) -> int:
@@ -101,29 +103,6 @@ class ModelConfig:
     def rbf_bandwidth(self) -> float:
         lo, hi = self.rbf_range
         return (hi - lo) / (self.num_centers - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layer_widths": list(self.layer_widths),
-            "grid_size": self.grid_size,
-            "spline_order": self.spline_order,
-            "grid_range": list(self.grid_range),
-            "num_centers": self.num_centers,
-            "rbf_range": list(self.rbf_range),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            kind=d["kind"],
-            layer_widths=tuple(d["layer_widths"]),
-            grid_size=int(d["grid_size"]),
-            spline_order=int(d["spline_order"]),
-            grid_range=tuple(d["grid_range"]),
-            num_centers=int(d["num_centers"]),
-            rbf_range=tuple(d["rbf_range"]),
-        )
 
 
 def default_config(kind: str) -> ModelConfig:
@@ -423,31 +402,37 @@ def save_state(state: ModelState, path) -> None:
     header = json.dumps(
         {
             "version": _VERSION,
-            "config": state.config.to_dict(),
+            "config": asdict(state.config),
             "layout": [[n, list(s), o] for n, s, o in state.layout],
         },
         sort_keys=True,
     ).encode()
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<I", len(header)))
+        f.write(len(header).to_bytes(4, "little"))
         f.write(header)
         f.write(state.params.astype("<f8").tobytes())
 
 
 def load_state(path) -> ModelState:
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _MAGIC:
-            raise DataError(f"bad checkpoint magic {magic!r} in {path}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
+        blob = f.read()
+    if blob[:8] != _MAGIC:
+        raise DataError(f"bad checkpoint magic {blob[:8]!r} in {path}")
+    # a truncated length field reads short, and the header then fails to parse
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    header, body = blob[12:end], blob[end:]
+    try:
+        header = json.loads(header)
         if header["version"] != _VERSION:
             raise DataError(f"unsupported checkpoint version {header['version']}")
-        config = ModelConfig.from_dict(header["config"])
-        params = np.frombuffer(f.read(), dtype="<f8").astype(np.float64)
-    state = ModelState(config, params)
-    expected_layout = [[n, list(s), o] for n, s, o in state.layout]
-    if header["layout"] != expected_layout:
+        layout = header["layout"]
+        config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
+    except (ValueError, TypeError, KeyError, ConfigurationError) as e:
+        raise DataError(f"{path}: truncated or malformed checkpoint header ({e!r})") from e
+    if len(body) != 8 * param_count(config):
+        raise DataError(f"{path}: {len(body)} parameter bytes, expected {8 * param_count(config)}")
+    state = ModelState(config, np.frombuffer(body, dtype="<f8").astype(np.float64))
+    if layout != [[n, list(s), o] for n, s, o in state.layout]:
         raise DataError("checkpoint layout does not match its config")
     return state

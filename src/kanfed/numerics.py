@@ -8,7 +8,6 @@ build. Matrices are plain 2-D ``np.ndarray`` with dtype float64, row-major.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,17 +38,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path!r})"
-
-
-@dataclass
-class MomentumBuffer:
-    """Velocity accumulator for SGD with momentum; zero-initialized."""
-
-    velocity: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "MomentumBuffer":
-        return cls(velocity=np.zeros(n, dtype=np.float64))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -118,21 +106,21 @@ def per_sample_nll(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def sgd_momentum_step(
     params: np.ndarray,
     grads: np.ndarray,
-    buf: MomentumBuffer,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
 ) -> np.ndarray:
-    """In-place heavyweight-ball update: v <- m*v + g; w <- w - lr*v.
+    """In-place heavy-ball update: v <- m*v + g; w <- w - lr*v.
 
     No dampening, no Nesterov, no weight decay. Returns `params` for
-    convenience; both `params` and `buf.velocity` are mutated.
+    convenience; both `params` and `velocity` are mutated.
     """
-    if params.shape != grads.shape or params.shape != buf.velocity.shape:
+    if params.shape != grads.shape or params.shape != velocity.shape:
         raise InternalError(
             f"sgd length mismatch: params {params.shape}, grads {grads.shape}, "
-            f"velocity {buf.velocity.shape}"
+            f"velocity {velocity.shape}"
         )
-    buf.velocity *= momentum
-    buf.velocity += grads
-    params -= lr * buf.velocity
+    velocity *= momentum
+    velocity += grads
+    params -= lr * velocity
     return params

@@ -40,23 +40,29 @@ class SplineGrid:
         return self.grid_size + self.order
 
 
-def _basis_of_degree(x: np.ndarray, grid: SplineGrid, degree: int) -> np.ndarray:
-    """All B-spline basis functions of `degree` on the grid, stacked last axis.
-
-    The knots are uniform, t_j = t_0 + j*h, so in grid units u = (x - t_0)/h
-    the recursion coefficients reduce to (u - j)/d and (j + d + 1 - u)/d.
-    """
+def _grid_units(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
+    """u = (x - t_0)/h with a trailing axis, ready to broadcast over basis index j."""
     t = grid.knots
-    m = len(t)
-    h = t[1] - t[0]
-    u = (np.asarray(x, dtype=np.float64) - t[0]) / h
-    uu = u[..., None]
-    j0 = np.arange(m - 1)
+    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0]))[..., None]
+
+
+def _cox_de_boor_step(uu: np.ndarray, lower: np.ndarray, d: int) -> np.ndarray:
+    """Degree-(d-1) basis -> degree-d basis, one column fewer.
+
+    The knots are uniform, t_j = t_0 + j*h, so in grid units u the recursion
+    coefficients reduce to (u - j)/d and (j + d + 1 - u)/d.
+    """
+    jj = np.arange(lower.shape[-1] - 1)
+    return ((uu - jj) * lower[..., :-1] + (jj + d + 1 - uu) * lower[..., 1:]) / d
+
+
+def _basis_of_degree(x: np.ndarray, grid: SplineGrid, degree: int) -> np.ndarray:
+    """All B-spline basis functions of `degree` on the grid, stacked last axis."""
+    uu = _grid_units(x, grid)
+    j0 = np.arange(len(grid.knots) - 1)
     b = ((uu >= j0) & (uu < j0 + 1)).astype(np.float64)
     for d in range(1, degree + 1):
-        n = m - d - 1
-        jj = np.arange(n)
-        b = ((uu - jj) * b[..., :n] + (jj + d + 1 - uu) * b[..., 1 : n + 1]) / d
+        b = _cox_de_boor_step(uu, b, d)
     return b
 
 
@@ -77,14 +83,7 @@ def bspline_basis_lower(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
 
 def basis_from_lower(x: np.ndarray, grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
     """One Cox-de Boor step: degree-(order-1) basis -> degree-order basis."""
-    t = grid.knots
-    m = len(t)
-    d = grid.order
-    h = t[1] - t[0]
-    u = (np.asarray(x, dtype=np.float64) - t[0]) / h
-    uu = u[..., None]
-    jj = np.arange(m - d - 1)
-    return ((uu - jj) * lower[..., :-1] + (jj + d + 1 - uu) * lower[..., 1:]) / d
+    return _cox_de_boor_step(_grid_units(x, grid), lower, grid.order)
 
 
 def derivative_from_lower(grid: SplineGrid, lower: np.ndarray) -> np.ndarray:

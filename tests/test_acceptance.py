@@ -40,7 +40,7 @@ from kanfed.models import (
     init_params,
     param_count,
 )
-from kanfed.numerics import MomentumBuffer, RngStream, sgd_momentum_step, softmax_cross_entropy
+from kanfed.numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
 from kanfed.splines import SplineGrid, bspline_basis, bspline_basis_derivative
 from kanfed.stats import bootstrap_ratio_ci, welch_one_sided
 
@@ -141,7 +141,7 @@ def test_criterion_5_federated_equals_centralized():
         upd = local_train(srv.global_model, part, train, fed, rng.child("local", str(rnd), "0"))
         server_step(srv, aggregate([upd]), fed.server_momentum)
         gen = RngStream(seed).child("local", str(rnd), "0").gen
-        buf = MomentumBuffer.zeros(len(central.params))
+        buf = np.zeros(len(central.params))
         for _ in range(fed.local_epochs):
             order = gen.permutation(len(train))
             for start in range(0, len(order), fed.batch_size):

@@ -13,6 +13,7 @@ from kanfed.config import (
     load_config,
 )
 from kanfed.errors import ConfigurationError
+from kanfed.federation import FederationConfig
 from kanfed.metrics import read_logs, scan_logs, strip_timing
 
 
@@ -32,6 +33,33 @@ class TestConfig:
 
     def test_dump_load_round_trip(self):
         cfg = desk_preset(ExperimentConfig(master_seed=7, models=("mlp",)))
+        assert load_config(dump_config(cfg)) == cfg
+
+    def test_dump_text_pinned(self):
+        fed = FederationConfig(n_rounds=7, clients_per_round_fraction=0.25, local_epochs=2,
+                               batch_size=32, lr=0.05, client_momentum=0.5,
+                               server_momentum=0.8, server_lr=0.7, parallel_clients=2)
+        cfg = ExperimentConfig(models=("rbf_kan", "mlp"), trials_per_model=4, master_seed=9,
+                               data_dir="d d", out_dir="o", n_clients=50,
+                               labels_per_client=3, fed=fed)
+        assert dump_config(cfg) == (
+            "models = rbf_kan,mlp\n"
+            "trials_per_model = 4\n"
+            "master_seed = 9\n"
+            "data_dir = d d\n"
+            "out_dir = o\n"
+            "n_clients = 50\n"
+            "labels_per_client = 3\n"
+            "fed.n_rounds = 7\n"
+            "fed.clients_per_round_fraction = 0.25\n"
+            "fed.local_epochs = 2\n"
+            "fed.batch_size = 32\n"
+            "fed.lr = 0.05\n"
+            "fed.client_momentum = 0.5\n"
+            "fed.server_momentum = 0.8\n"
+            "fed.server_lr = 0.7\n"
+            "fed.parallel_clients = 2\n"
+        )
         assert load_config(dump_config(cfg)) == cfg
 
     def test_unknown_key_rejected(self):

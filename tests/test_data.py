@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -114,6 +115,10 @@ class TestNormalize:
             normalize(Dataset(images=np.array(bad), labels=np.array([0])))
 
 
+# the partition of `mnist_shaped_labels` for 100 clients, 2 labels each, seed 0
+PINNED_PARTITION_SHA256 = "9ced93049b75ab0fe643dd80fb9bbd5244fca959fa808ce8cca5f531398a9f35"
+
+
 class TestPartition:
     @pytest.fixture()
     def parts(self, mnist_shaped_labels):
@@ -154,6 +159,31 @@ class TestPartition:
                 mnist_shaped_labels, n_clients=7, labels_per_client=3, rng=RngStream(1)
             )
 
+    def test_dealing_pinned(self, parts):
+        digest = hashlib.sha256()
+        for p in parts:
+            digest.update(p.indices.tobytes() + bytes(sorted(p.label_set)))
+        assert digest.hexdigest() == PINNED_PARTITION_SHA256
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_other_label_counts(self, mnist_shaped_labels, k):
+        parts = pathological_partition(
+            mnist_shaped_labels, n_clients=100, labels_per_client=k, rng=RngStream(3)
+        )
+        check_partition(parts, len(mnist_shaped_labels), labels_per_client=k)
+        for p in parts:
+            assert set(mnist_shaped_labels.labels[p.indices]) == set(p.label_set)
+        sizes = [len(p) for p in parts]
+        assert sum(sizes) / len(sizes) == 600.0
+        assert min(sizes) >= 400 and max(sizes) <= 900
+
+    @pytest.mark.parametrize("k", [0, 11])
+    def test_label_count_out_of_range_rejected(self, mnist_shaped_labels, k):
+        with pytest.raises(ConfigurationError, match="labels_per_client"):
+            pathological_partition(
+                mnist_shaped_labels, n_clients=100, labels_per_client=k, rng=RngStream(1)
+            )
+
     def test_per_label_totals_conserved(self, parts, mnist_shaped_labels):
         totals = np.zeros(10, dtype=int)
         for p in parts:
@@ -191,7 +221,7 @@ class TestLoadMnistDir:
     def test_load_from_synth_dir(self, synth_idx_dir):
         train, test = load_mnist(synth_idx_dir)
         assert len(train) == 6000 and len(test) == 1000
-        assert train.normalized and test.normalized
+        assert train.codes is not None and test.codes is not None
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError):

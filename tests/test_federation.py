@@ -18,7 +18,7 @@ from kanfed.federation import (
 )
 from kanfed.metrics import evaluate
 from kanfed.models import ModelConfig, backward, forward, init_params
-from kanfed.numerics import MomentumBuffer, RngStream, sgd_momentum_step, softmax_cross_entropy
+from kanfed.numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
 
 from conftest import make_synth_dataset
 
@@ -96,7 +96,7 @@ class TestLocalTrain:
         order = gen.permutation(30)
         sel = part.indices[order]
         local = state.clone()
-        buf = MomentumBuffer.zeros(len(local.params))
+        buf = np.zeros(len(local.params))
         logits, cache = forward(local, train.images[sel])
         _, gl = softmax_cross_entropy(logits, train.labels[sel])
         grads, _ = backward(local, cache, gl)
@@ -200,7 +200,7 @@ class TestRunTrial:
             server_step(srv, aggregate([upd]), fed.server_momentum)
 
             gen = RngStream(seed).child("local", str(rnd), "0").gen
-            buf = MomentumBuffer.zeros(len(central.params))
+            buf = np.zeros(len(central.params))
             for _ in range(fed.local_epochs):
                 order = gen.permutation(len(train))
                 for start in range(0, len(order), fed.batch_size):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kanfed import cli
 from kanfed.data import Dataset, normalize
 from kanfed.errors import DataError, ReportError
 from kanfed.metrics import (
@@ -97,6 +98,36 @@ class TestLogs:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 2"):
             read_logs(path)
+
+    @pytest.mark.parametrize("lineno, corrupt, message", [
+        (2, lambda obj: {k: v for k, v in obj.items() if k != "test_acc"}, "line 2 lacks test_acc"),
+        (2, lambda obj: list(obj), "line 2 is not a JSON object"),
+        (4, lambda obj: {k: v for k, v in obj.items() if k != "n_rounds"}, "line 4 lacks n_rounds"),
+    ], ids=["round_lacks_field", "not_an_object", "summary_lacks_field"])
+    def test_malformed_line_is_data_error(self, tmp_path, capsys, lineno, corrupt, message):
+        path = tmp_path / "t.jsonl"
+        write_logs(make_trial(), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = json.dumps(corrupt(json.loads(lines[lineno - 1])))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message) as e:
+            read_logs(path)
+        assert str(path) in str(e.value)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_line_layout_pinned(self, tmp_path):
+        record = RoundRecord(round=1, test_acc=0.5, test_loss=1.25, train_acc=0.75,
+                             train_loss=0.1, sampled_clients=[3, 7], elapsed_s=2.5)
+        path = tmp_path / "t.jsonl"
+        write_logs(TrialSummary("mlp:0", "mlp", 11, [record], total_time_s=3.0), path)
+        assert path.read_text().splitlines() == [
+            '{"trial_id": "mlp:0", "model": "mlp", "round": 1, "test_acc": 0.5, '
+            '"test_loss": 1.25, "train_acc": 0.75, "train_loss": 0.1, '
+            '"sampled_clients": [3, 7], "elapsed_s": 2.5}',
+            '{"trial_id": "mlp:0", "model": "mlp", "seed": 11, "n_rounds": 1, '
+            '"total_time_s": 3.0}',
+        ]
 
     def test_scan_groups_by_model(self, tmp_path):
         for i in range(3):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from kanfed import models
 from kanfed.data import PIXEL_LEVELS
-from kanfed.errors import ConfigurationError, InternalError
+from kanfed.errors import ConfigurationError, DataError, InternalError
 from kanfed.models import (
     KIND_MLP,
     KIND_RBF,
@@ -341,3 +342,38 @@ class TestSerialization:
         assert np.array_equal(loaded.params, state.params)
         save_state(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("case", [
+        "magic only", "cut length field", "cut header", "header not JSON",
+        "header not an object", "header lacks layout", "config lacks a field",
+        "unknown kind", "cut params", "one param short",
+    ])
+    def test_corrupt_checkpoint_is_data_error(self, tmp_path, case):
+        path = tmp_path / "a.ckpt"
+        save_state(init_params(small_config(KIND_RBF), RngStream(31)), path)
+        good = path.read_bytes()
+        end = 12 + int.from_bytes(good[8:12], "little")
+        header, body = json.loads(good[12:end]), good[end:]
+
+        def packed(h):
+            text = h if isinstance(h, bytes) else json.dumps(h).encode()
+            return good[:8] + len(text).to_bytes(4, "little") + text + body
+
+        assert packed(header) == good  # so each case differs from a good file only as named
+        config = header["config"]
+        blobs = {
+            "magic only": good[:8],
+            "cut length field": good[:10],
+            "cut header": good[: end - 5],
+            "header not JSON": packed(b"{not json"),
+            "header not an object": packed([1, 2]),
+            "header lacks layout": packed({k: v for k, v in header.items() if k != "layout"}),
+            "config lacks a field": packed(dict(header, config={
+                k: v for k, v in config.items() if k != "num_centers"})),
+            "unknown kind": packed(dict(header, config=dict(config, kind="cnn"))),
+            "cut params": good[:-3],
+            "one param short": good[:-8],
+        }
+        path.write_bytes(blobs[case])
+        with pytest.raises(DataError):
+            load_state(path)

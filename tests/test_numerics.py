@@ -5,7 +5,6 @@ import pytest
 
 from kanfed.errors import DataError, InternalError
 from kanfed.numerics import (
-    MomentumBuffer,
     RngStream,
     sgd_momentum_step,
     sigmoid,
@@ -92,20 +91,20 @@ class TestSgdMomentum:
     def test_first_step(self):
         w = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
-        buf = MomentumBuffer.zeros(2)
+        buf = np.zeros(2)
         sgd_momentum_step(w, g, buf, lr=0.1, momentum=0.9)
         assert np.allclose(w, [1.0 - 0.05, 2.0 + 0.05], atol=1e-15)
 
     def test_pure_momentum_step(self):
         w = np.array([1.0])
-        buf = MomentumBuffer(velocity=np.array([2.0]))
+        buf = np.array([2.0])
         sgd_momentum_step(w, np.array([0.0]), buf, lr=0.1, momentum=0.9)
         assert abs(w[0] - (1.0 - 0.1 * 0.9 * 2.0)) < 1e-15
 
     def test_three_steps_match_hand_unrolled_recurrence(self):
         # quadratic loss 0.5*w^2, grad = w; lr 0.1, momentum 0.9
         w = np.array([1.0])
-        buf = MomentumBuffer.zeros(1)
+        buf = np.zeros(1)
         # hand-unrolled oracle
         wo, v = 1.0, 0.0
         for _ in range(3):
@@ -117,4 +116,4 @@ class TestSgdMomentum:
 
     def test_length_mismatch(self):
         with pytest.raises(InternalError):
-            sgd_momentum_step(np.zeros(2), np.zeros(3), MomentumBuffer.zeros(2), 0.1, 0.9)
+            sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
