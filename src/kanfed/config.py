@@ -87,7 +87,12 @@ def load_config(text: str) -> ExperimentConfig:
         if convert is tuple:
             value = tuple(m.strip() for m in raw.split(",") if m.strip())
         else:
-            value = convert(raw)
+            try:
+                value = convert(raw)
+            except ValueError:
+                raise ConfigurationError(
+                    f"config line {lineno}: {key} = {raw!r} is not a valid {convert.__name__}"
+                ) from None
         if key.startswith("fed."):
             fed[key[4:]] = value
         else:

@@ -33,6 +33,17 @@ Spline-KAN layer: y = silu(x) @ Wb.T + B(x) @ (scaler * Ws).T
 RBF-KAN layer:    z = layernorm(x); phi_j(z) = exp(-((z - c_j)/h)^2) over 8
                   fixed centers; y = phi(z) @ Wr.T + x @ Wa.T + b  (base
                   path is a plain affine map on the un-normalized input).
+
+The RBF-KAN sends the center axis through BLAS and never broadcasts over
+it. The forward takes u_j = z/h - c_j/h for every input and center as one
+(b*i, 2) @ (2, centers) product of [z, 1] with [[1/h, ...], [-c/h, ...]],
+and turns that buffer into phi = exp(-u^2) in place. The backward takes
+t = g @ Wr, multiplies it by phi in place, and gets s0 = sum_j t phi_j and
+s1 = sum_j t phi_j c_j from one (b*i, centers) @ (centers, 2) product; then
+dL/dz = -2/h^2 (z s0 - s1). These round differently from
+exp(-(((z - c)/h)**2)) and its broadcast derivative, so results are not
+bit-identical to that form; they agree to ~1e-14 of each tensor's
+largest entry (tests/test_models.py::TestRbfKernel).
 """
 
 from __future__ import annotations
@@ -235,25 +246,37 @@ def _rbf_init(cfg, gen, p, i, o):
 
 def _rbf_forward(cfg, p, x, codes, last):
     wr = p["rbf_weight"]
-    bsz, o = x.shape[0], wr.shape[0]
+    bsz, i = x.shape
+    o, _, k = wr.shape
     zhat, inv = _layernorm(x)
     z = zhat * p["ln_gain"] + p["ln_bias"]
-    u = (z[:, :, None] - cfg.rbf_centers()) / cfg.rbf_bandwidth()
-    phi = np.exp(-(u**2))  # (b, i, centers)
-    y = phi.reshape(bsz, -1) @ wr.reshape(o, -1).T + x @ p["base_weight"].T + p["base_bias"]
-    return y, {"x": x, "zhat": zhat, "inv": inv, "phi": phi, "u": u}
+    c, h = cfg.rbf_centers(), cfg.rbf_bandwidth()
+    # u = z/h - c/h for every center: one (b*i, 2) @ (2, k) product, then phi in place
+    zs = np.stack([z.ravel(), np.ones(bsz * i)], axis=1)
+    phi = zs @ np.stack([np.full(k, 1.0 / h), -c / h])
+    np.square(phi, out=phi)
+    np.negative(phi, out=phi)
+    np.exp(phi, out=phi)
+    phi = phi.reshape(bsz, i * k)
+    y = phi @ wr.reshape(o, -1).T + x @ p["base_weight"].T + p["base_bias"]
+    return y, {"x": x, "zhat": zhat, "inv": inv, "z": z, "phi": phi}
 
 
 def _rbf_backward(cfg, p, cache, g, grad, need_input):
-    x, zhat, inv, phi, u = (cache[k] for k in ("x", "zhat", "inv", "phi", "u"))
+    x, zhat, inv, z, phi = (cache[k] for k in ("x", "zhat", "inv", "z", "phi"))
     wr = p["rbf_weight"]
     bsz, i = x.shape
-    o = wr.shape[0]
-    grad["rbf_weight"][:] = (g.T @ phi.reshape(bsz, -1)).reshape(o, i, -1)
+    o, _, k = wr.shape
+    c, h = cfg.rbf_centers(), cfg.rbf_bandwidth()
+    grad["rbf_weight"][:] = (g.T @ phi).reshape(o, i, k)
     grad["base_weight"][:] = g.T @ x
     grad["base_bias"][:] = g.sum(axis=0)
-    t = (g @ wr.reshape(o, -1)).reshape(bsz, i, -1)
-    dz = (t * phi * (-2.0 * u / cfg.rbf_bandwidth())).sum(axis=2)
+    t = g @ wr.reshape(o, -1)
+    t *= phi
+    # dphi_k/dz = -2 (z - c_k)/h^2 phi_k, so dz = -2/h^2 (z s0 - s1) with
+    # s0 = sum_k t phi_k and s1 = sum_k t phi_k c_k: one (b*i, k) @ (k, 2) product
+    s0, s1 = (t.reshape(-1, k) @ np.stack([np.ones(k), c], axis=1)).T.reshape(2, bsz, i)
+    dz = (-2.0 / h**2) * (z * s0 - s1)
     grad["ln_gain"][:] = (dz * zhat).sum(axis=0)
     grad["ln_bias"][:] = dz.sum(axis=0)
     if not need_input:

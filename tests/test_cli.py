@@ -68,6 +68,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config("fed.nonsense = 1\n")
 
+    @pytest.mark.parametrize("line", ["fed.lr = abc", "fed.n_rounds = 1.5", "n_clients = ten"])
+    def test_bad_value_rejected(self, line):
+        key = line.partition(" =")[0]
+        with pytest.raises(ConfigurationError, match=f"config line 2: {key} = "):
+            load_config(f"master_seed = 3\n{line}\n")
+
     def test_desk_preset(self):
         cfg = desk_preset(ExperimentConfig())
         assert cfg.trials_per_model == 3
@@ -166,6 +172,13 @@ class TestRun:
             "--data-dir", str(tmp_path / "none"), "--out-dir", str(tmp_path / "o"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_bad_config_value_exit_1(self, tmp_path, capsys, dump):
+        path = tmp_path / "exp.cfg"
+        path.write_text("fed.lr = abc\n")
+        assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
+        assert "usage error: config line 1: fed.lr = 'abc'" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as e:

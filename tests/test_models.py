@@ -224,12 +224,17 @@ class TestForward:
 
     def test_rbf_center_hit_gives_unit_activation(self):
         cfg = small_config(KIND_RBF, (4, 3, 2))
+        state = init_params(cfg, RngStream(10))
         centers = cfg.rbf_centers()
+        # gain 0 makes z = ln_bias exactly, here the third center for every input
+        state.view("l0.ln_gain")[:] = 0.0
+        state.view("l0.ln_bias")[:] = centers[2]
+        _, cache = forward(state, RngStream(11).gen.uniform(-1, 1, (3, 4)))
+        phi = cache["layers"][0]["phi"].reshape(3, 4, cfg.num_centers)
         # phi is exp(-((z - c)/h)^2): exactly 1 when z equals the center
-        z = np.full((1, 4), centers[2])
-        u = (z[:, :, None] - centers) / cfg.rbf_bandwidth()
-        phi = np.exp(-(u**2))
-        assert np.all(phi[0, :, 2] == 1.0)
+        assert np.all(phi[:, :, 2] == 1.0)
+        others = np.exp(-(((centers[2] - np.delete(centers, 2)) / cfg.rbf_bandwidth()) ** 2))
+        assert np.abs(np.delete(phi, 2, axis=2) - others).max() < 1e-15
 
 
 class TestBackward:
@@ -328,6 +333,94 @@ class TestPixelCodes:
         codes = np.stack([np.arange(256, dtype=np.uint8), np.arange(256)[::-1].astype(np.uint8)])
         (lc, gc, gxc), (lf, gf, _) = self.both_paths(state, codes, 44)
         assert np.array_equal(lc, lf) and np.array_equal(gc, gf) and gxc is None
+
+
+def _broadcast_rbf_forward(cfg, p, x, codes, last):
+    """The RBF-KAN layer with u broadcast over (batch, in, centers): the oracle."""
+    wr = p["rbf_weight"]
+    bsz, o = x.shape[0], wr.shape[0]
+    zhat, inv = models._layernorm(x)
+    z = zhat * p["ln_gain"] + p["ln_bias"]
+    u = (z[:, :, None] - cfg.rbf_centers()) / cfg.rbf_bandwidth()
+    phi = np.exp(-(u**2))
+    y = phi.reshape(bsz, -1) @ wr.reshape(o, -1).T + x @ p["base_weight"].T + p["base_bias"]
+    return y, {"x": x, "zhat": zhat, "inv": inv, "phi": phi, "u": u}
+
+
+def _broadcast_rbf_backward(cfg, p, cache, g, grad, need_input):
+    x, zhat, inv, phi, u = (cache[k] for k in ("x", "zhat", "inv", "phi", "u"))
+    wr = p["rbf_weight"]
+    bsz, i = x.shape
+    o = wr.shape[0]
+    grad["rbf_weight"][:] = (g.T @ phi.reshape(bsz, -1)).reshape(o, i, -1)
+    grad["base_weight"][:] = g.T @ x
+    grad["base_bias"][:] = g.sum(axis=0)
+    t = (g @ wr.reshape(o, -1)).reshape(bsz, i, -1)
+    dz = (t * phi * (-2.0 * u / cfg.rbf_bandwidth())).sum(axis=2)
+    grad["ln_gain"][:] = (dz * zhat).sum(axis=0)
+    grad["ln_bias"][:] = dz.sum(axis=0)
+    if not need_input:
+        return None
+    dzhat = dz * p["ln_gain"]
+    g_ln = inv * (
+        dzhat
+        - dzhat.mean(axis=1, keepdims=True)
+        - zhat * (dzhat * zhat).mean(axis=1, keepdims=True)
+    )
+    return g_ln + g @ p["base_weight"]
+
+
+class TestRbfKernel:
+    """The BLAS form of the RBF-KAN layer against the broadcast equations, to 1e-12."""
+
+    @staticmethod
+    def both_kernels(state, batch, seed, monkeypatch):
+        gl = RngStream(seed).gen.normal(size=(len(batch), state.config.layer_widths[-1]))
+        out = []
+        for spec in (models.LAYER_SPECS[KIND_RBF],
+                     models.LayerSpec(models._rbf_shapes, models._rbf_init,
+                                      _broadcast_rbf_forward, _broadcast_rbf_backward)):
+            monkeypatch.setitem(models.LAYER_SPECS, KIND_RBF, spec)
+            logits, cache = forward(state, batch)
+            out.append((logits, *backward(state, cache, gl)))
+        return out
+
+    @staticmethod
+    def assert_close(new, old):
+        for a, b in zip(new, old):
+            if b is None:
+                assert a is None
+            else:
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("codes", [True, False])
+    @pytest.mark.parametrize("batch", [64, 512])
+    def test_reference_config(self, monkeypatch, batch, codes):
+        state = init_params(default_config(KIND_RBF), RngStream(50))
+        x = RngStream(51).gen.integers(0, 256, (batch, 784)).astype(np.uint8)
+        new, old = self.both_kernels(state, x if codes else PIXEL_LEVELS[x], 52, monkeypatch)
+        assert (new[2] is None) == codes
+        self.assert_close(new, old)
+
+    # 7 centers on [-2, 2] put one exactly at 0
+    @pytest.mark.parametrize("centers", [8, 5, 7])
+    def test_small_configs(self, monkeypatch, centers):
+        cfg = ModelConfig(kind=KIND_RBF, layer_widths=(784, 8, 6, 10), num_centers=centers)
+        assert (0.0 in cfg.rbf_centers()) == (centers % 2 == 1)
+        state = init_params(cfg, RngStream(53))
+        x = RngStream(54).gen.uniform(-1, 3, (64, 784))
+        self.assert_close(*self.both_kernels(state, x, 55, monkeypatch))
+
+    @pytest.mark.parametrize("scale, overflows", [(1e80, False), (1e160, True), (1e300, True)])
+    def test_same_non_finite_entries(self, monkeypatch, scale, overflows):
+        state = init_params(default_config(KIND_RBF), RngStream(56))
+        state.params *= scale
+        x = PIXEL_LEVELS[RngStream(57).gen.integers(0, 256, (64, 784))]
+        with np.errstate(all="ignore"):
+            new, old = self.both_kernels(state, x, 58, monkeypatch)
+        assert any(not np.isfinite(b).all() for b in old) == overflows
+        for a, b in zip(new, old):
+            assert np.array_equal(np.isfinite(a), np.isfinite(b))
 
 
 class TestSerialization:
