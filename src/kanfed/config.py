@@ -31,8 +31,9 @@ class ExperimentConfig:
         for m in self.models:
             if m not in MODEL_KINDS:
                 raise ConfigurationError(f"unknown model kind {m!r}")
-        if self.trials_per_model < 1:
-            raise ConfigurationError("trials_per_model must be positive")
+        for name in ("trials_per_model", "n_clients"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be positive")
 
 
 def desk_preset(cfg: ExperimentConfig) -> ExperimentConfig:

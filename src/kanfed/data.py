@@ -1,5 +1,9 @@
 """MNIST loading, normalization and the pathological non-IID partitioner.
 
+A normalized dataset holds only its uint8 pixel codes. Its `images` is a
+read-only `CodeImages` view that decodes the rows asked for to their float64
+normalized values on access, so no full-size float copy of a split is built.
+
 The partitioner sorts training indices by label, cuts the label pools into
 n_clients * k shards of jittered size, an equal number per label, and deals
 k shards with distinct labels to each client, so every client sees exactly k
@@ -44,9 +48,50 @@ MNIST_FILES = {
 }
 
 
+class CodeImages:
+    """Read-only float64 images of uint8 pixel codes, decoded on access.
+
+    Indexing returns `PIXEL_LEVELS[codes[key]]`, a fresh float64 array, so the
+    values are those a full `PIXEL_LEVELS[codes]` would hold. Only the codes
+    are stored, and `nbytes` counts them.
+    """
+
+    dtype = PIXEL_LEVELS.dtype
+
+    def __init__(self, codes: np.ndarray):
+        self.codes = codes
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key):
+        return PIXEL_LEVELS[self.codes[key]]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("decoding pixel codes always makes a copy")
+        return np.asarray(PIXEL_LEVELS[self.codes], dtype=dtype)
+
+
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, 784): uint8 pixel codes before `normalize`, float64 after
+    """A split's images and labels.
+
+    Before `normalize`, `images` holds the raw pixels and `codes` is None.
+    After it, `codes` holds the uint8 pixel codes and `images` is a
+    `CodeImages` view over them, which decodes rows to normalized float64
+    values on access.
+    """
+
+    images: np.ndarray | CodeImages  # (N, 784)
     labels: np.ndarray  # (N,) int64 in [0, 10)
     split: str = "train"
     codes: np.ndarray | None = None  # (N, 784) uint8 codes of normalized images, or None
@@ -113,14 +158,36 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     return Dataset(images=pixels, labels=labels, split=split)
 
 
+def _pixel_codes(ds: Dataset) -> np.ndarray:
+    """The dataset's raw pixels as uint8 codes; DataError unless each is an
+    integer value in [0, 255]."""
+    pixels = np.asarray(ds.images)
+    if pixels.dtype == np.uint8:
+        return pixels
+    numeric = pixels.dtype.kind in "iuf"
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
+        codes = pixels.astype(np.uint8) if numeric else None
+    if codes is None or not np.array_equal(codes, pixels):
+        found = f" in [{pixels.min()}, {pixels.max()}]" if numeric else ""
+        raise DataError(
+            f"{ds.split} pixels must be uint8 codes or integer values in [0, 255], "
+            f"got {pixels.dtype}{found}"
+        )
+    return codes
+
+
 def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> None:
-    """Write a Dataset back out as a raw IDX pair (fixtures, synthetic data)."""
+    """Write a Dataset back out as a raw IDX pair (fixtures, synthetic data).
+
+    A normalized dataset writes its codes; otherwise the pixels must be codes.
+    """
     n = len(dataset)
     if dataset.images.shape[1] != side * side:
         raise ConfigurationError(f"images are not {side}x{side}")
+    codes = dataset.codes if dataset.codes is not None else _pixel_codes(dataset)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, n, side, side))
-        f.write(np.clip(dataset.images, 0, 255).astype(np.uint8).tobytes())
+        f.write(codes.tobytes())
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_MAGIC_LABELS, n))
         f.write(dataset.labels.astype(np.uint8).tobytes())
@@ -129,24 +196,14 @@ def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> Non
 def normalize(ds: Dataset) -> Dataset:
     """Scale pixels to [0,1] then standardize with the fixed MNIST constants.
 
-    The pixels must be codes: uint8, or integer values in [0, 255]. They are
-    kept as uint8 `codes`, and `images` becomes `PIXEL_LEVELS[codes]`.
+    The pixels must be codes (see `_pixel_codes`). They are kept as uint8
+    `codes`, and `images` becomes a `CodeImages` view that decodes them to
+    `PIXEL_LEVELS[codes]` on access.
     """
     if ds.codes is not None:
         raise DataError("dataset is already normalized")
-    pixels = np.asarray(ds.images)
-    if pixels.dtype != np.uint8:
-        numeric = pixels.dtype.kind in "iuf"
-        with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
-            codes = pixels.astype(np.uint8) if numeric else None
-        if codes is None or not np.array_equal(codes, pixels):
-            found = f" in [{pixels.min()}, {pixels.max()}]" if numeric else ""
-            raise DataError(
-                f"{ds.split} pixels must be uint8 codes or integer values in [0, 255], "
-                f"got {pixels.dtype}{found}"
-            )
-        pixels = codes
-    return replace(ds, images=PIXEL_LEVELS[pixels], codes=pixels)
+    codes = _pixel_codes(ds)
+    return replace(ds, images=CodeImages(codes), codes=codes)
 
 
 def _jittered_shard_sizes(

@@ -45,6 +45,14 @@ class FederationConfig:
         for name in ("n_rounds", "local_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        # the negated comparisons also reject NaN
+        for name, high, rule in (("lr", np.inf, "finite and >= 0"),
+                                 ("server_lr", np.inf, "finite and >= 0"),
+                                 ("client_momentum", 1.0, "in [0, 1)"),
+                                 ("server_momentum", 1.0, "in [0, 1)")):
+            value = getattr(self, name)
+            if not 0.0 <= value < high:
+                raise ConfigurationError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass

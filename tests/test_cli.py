@@ -74,6 +74,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=f"config line 2: {key} = "):
             load_config(f"master_seed = 3\n{line}\n")
 
+    @pytest.mark.parametrize("line", [
+        "fed.lr = nan", "fed.lr = -0.5", "fed.server_lr = -1", "fed.server_lr = inf",
+        "fed.client_momentum = inf", "fed.client_momentum = 1.0",
+        "fed.server_momentum = -0.1", "fed.server_momentum = nan",
+        "n_clients = -3", "n_clients = 0",
+    ])
+    def test_nonsense_value_rejected(self, line):
+        key = line.partition(" =")[0].removeprefix("fed.")
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            load_config(f"master_seed = 3\n{line}\n")
+
+    def test_zero_step_and_momentum_allowed(self):
+        cfg = load_config("fed.lr = 0.0\nfed.server_lr = 0\nfed.client_momentum = 0\n")
+        assert cfg.fed.lr == cfg.fed.server_lr == cfg.fed.client_momentum == 0.0
+
     def test_desk_preset(self):
         cfg = desk_preset(ExperimentConfig())
         assert cfg.trials_per_model == 3
@@ -179,6 +194,13 @@ class TestRun:
         path.write_text("fed.lr = abc\n")
         assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
         assert "usage error: config line 1: fed.lr = 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_nonsense_config_value_exit_1(self, tmp_path, capsys, dump):
+        path = tmp_path / "exp.cfg"
+        path.write_text("fed.lr = nan\n")
+        assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
+        assert "usage error: lr must be finite and >= 0, got nan" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as e:

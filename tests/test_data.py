@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestLoadIdx:
         back = load_idx(tmp_path / "i", tmp_path / "l")
         assert np.array_equal(back.images, ds.images)
         assert np.array_equal(back.labels, ds.labels)
+
+    def test_normalized_round_trip_writes_codes(self, tmp_path):
+        ds = normalize(make_synth_dataset(20, 5))
+        write_idx(ds, tmp_path / "i", tmp_path / "l")
+        back = load_idx(tmp_path / "i", tmp_path / "l")
+        assert np.array_equal(back.images, ds.codes)
+
+    @pytest.mark.parametrize("bad", [256, -1, 0.5])
+    def test_write_refuses_non_code_pixels(self, tmp_path, bad):
+        pixels = np.zeros((1, 784))
+        pixels[0, 3] = bad
+        with pytest.raises(DataError, match="uint8 codes"):
+            write_idx(Dataset(pixels, np.array([0])), tmp_path / "i", tmp_path / "l")
 
 
 class TestNormalize:
@@ -222,6 +236,49 @@ class TestLoadMnistDir:
         train, test = load_mnist(synth_idx_dir)
         assert len(train) == 6000 and len(test) == 1000
         assert train.codes is not None and test.codes is not None
+
+    def test_holds_only_codes(self, synth_idx_dir):
+        tracemalloc.start()
+        try:
+            train, test = load_mnist(synth_idx_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        code_bytes = train.codes.nbytes + test.codes.nbytes
+        assert train.images.nbytes + test.images.nbytes == code_bytes
+        assert peak < 2 * code_bytes
+
+
+class TestCodeImages:
+    @pytest.fixture()
+    def ds(self):
+        return normalize(make_synth_dataset(6, 3))
+
+    @pytest.mark.parametrize("key", [
+        3,
+        slice(1, 5),
+        np.array([4, 0, 4]),
+        np.array([True, False, False, True, True, False]),
+        (slice(0, 3), np.array([0, 783])),
+        (2, 400),
+    ], ids=["int", "slice", "int array", "bool mask", "row col", "element"])
+    def test_rows_decode_to_pixel_levels(self, ds, key):
+        got = ds.images[key]
+        want = PIXEL_LEVELS[ds.codes][key]
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    def test_array_attributes(self, ds):
+        assert ds.images.shape == ds.codes.shape == (6, 784) and len(ds.images) == 6
+        assert ds.images.dtype == np.float64 and ds.images.nbytes == ds.codes.nbytes
+        full = np.asarray(ds.images)
+        assert full.dtype == np.float64 and np.array_equal(full, PIXEL_LEVELS[ds.codes])
+        assert np.asarray(ds.images, dtype=np.float32).dtype == np.float32
+        with pytest.raises(ValueError, match="copy"):
+            np.array(ds.images, copy=False)
+
+    def test_read_only(self, ds):
+        with pytest.raises(TypeError):
+            ds.images[0, 0] = 1.0
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError):
