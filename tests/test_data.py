@@ -248,6 +248,10 @@ class TestLoadMnistDir:
         assert train.images.nbytes + test.images.nbytes == code_bytes
         assert peak < 2 * code_bytes
 
+    def test_missing_dir(self, tmp_path):
+        with pytest.raises(DataError):
+            load_mnist(tmp_path / "nope")
+
 
 class TestCodeImages:
     @pytest.fixture()
@@ -279,7 +283,3 @@ class TestCodeImages:
     def test_read_only(self, ds):
         with pytest.raises(TypeError):
             ds.images[0, 0] = 1.0
-
-    def test_missing_dir(self, tmp_path):
-        with pytest.raises(DataError):
-            load_mnist(tmp_path / "nope")
