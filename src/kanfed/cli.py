@@ -76,11 +76,11 @@ def _effective_config(args) -> cfgmod.ExperimentConfig:
         cfg = cfgmod.desk_preset(cfg)
     if getattr(args, "models", None):
         cfg = replace(cfg, models=tuple(m.strip() for m in args.models.split(",")))
-    if getattr(args, "trials", None):
+    if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials_per_model=args.trials)
-    if getattr(args, "rounds", None):
+    if getattr(args, "rounds", None) is not None:
         cfg = replace(cfg, fed=replace(cfg.fed, n_rounds=args.rounds))
-    if getattr(args, "parallel_clients", None):
+    if getattr(args, "parallel_clients", None) is not None:
         cfg = replace(cfg, fed=replace(cfg.fed, parallel_clients=args.parallel_clients))
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)

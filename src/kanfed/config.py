@@ -11,6 +11,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .data import N_CLASSES
 from .errors import ConfigurationError
 from .federation import FederationConfig
 from .models import MODEL_KINDS
@@ -34,6 +35,9 @@ class ExperimentConfig:
         for name in ("trials_per_model", "n_clients"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if not 1 <= self.labels_per_client <= N_CLASSES:
+            raise ConfigurationError(
+                f"labels_per_client must be in [1, {N_CLASSES}], got {self.labels_per_client}")
 
 
 def desk_preset(cfg: ExperimentConfig) -> ExperimentConfig:

@@ -30,6 +30,7 @@ from .numerics import RngStream
 
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
+N_CLASSES = 10  # the digits, and every model's output width
 
 # standard MNIST pixel statistics (after scaling to [0,1])
 MNIST_MEAN = 0.1307
@@ -153,8 +154,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         raise DataError(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
         )
-    if labels.size and (labels.min() < 0 or labels.max() > 9):
-        raise DataError(f"label out of range [0, 10): max={labels.max()}")
+    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
+        raise DataError(f"label out of range [0, {N_CLASSES}): max={labels.max()}")
     return Dataset(images=pixels, labels=labels, split=split)
 
 

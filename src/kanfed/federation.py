@@ -42,7 +42,7 @@ class FederationConfig:
     def __post_init__(self):
         if not 0.0 < self.clients_per_round_fraction <= 1.0:
             raise ConfigurationError("clients_per_round_fraction must be in (0, 1]")
-        for name in ("n_rounds", "local_epochs", "batch_size"):
+        for name in ("n_rounds", "local_epochs", "batch_size", "parallel_clients"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
         # the negated comparisons also reject NaN
@@ -192,6 +192,7 @@ def run_trial(
         total_n = sum(u.n_samples for u in updates)
         train_loss = sum(u.train_loss * u.n_samples for u in updates) / total_n
         train_acc = sum(u.train_acc * u.n_samples for u in updates) / total_n
+        del updates, pseudo_gradient  # evaluation holds no client delta
         test_acc, test_loss = evaluate(server.global_model, test)
         records.append(
             RoundRecord(

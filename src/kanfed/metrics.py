@@ -45,9 +45,13 @@ class TrialSummary:
 def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[float, float]:
     """Accuracy and mean cross-entropy on the full test set.
 
-    Batched for memory only; the result is independent of batch_size.
-    Argmax ties break toward the lowest class index. Reads the pixel codes
-    when the dataset has them (bit-identical to reading its images).
+    Batched for memory only, and one batch at a time: only a batch's logits
+    are kept, so its forward cache is freed before the next batch's forward
+    runs. The accuracy does not depend on batch_size. The loss sums each
+    batch's losses in turn, so it agrees across batch sizes only to rounding
+    and is bit-identical only at the same batch_size. Argmax ties break
+    toward the lowest class index. Reads the pixel codes when the dataset
+    has them (bit-identical to reading its images).
     """
     n = len(test)
     inputs = test.model_inputs
@@ -56,7 +60,7 @@ def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[f
     for start in range(0, n, batch_size):
         imgs = inputs[start : start + batch_size]
         labs = test.labels[start : start + batch_size]
-        logits, _ = forward(model, imgs)
+        logits = forward(model, imgs)[0]
         correct += int((np.argmax(logits, axis=1) == labs).sum())
         loss_sum += float(per_sample_nll(logits, labs).sum())
     return correct / n, loss_sum / n

@@ -4,7 +4,10 @@ The grid covers `grid_range` with `grid_size` uniform intervals, extended by
 `order` extra knots on each side, so a degree-`order` basis has exactly
 grid_size + order functions per scalar input (8 for the default grid 5 /
 order 3 setup). Evaluation uses the Cox-de Boor recursion, vectorized over
-an arbitrary leading shape.
+an arbitrary leading shape. The recursion runs basis-first, on (n, N) arrays
+over the N inputs; results come back in the x.shape + (n,) layout as
+transposed views, which `basis_from_lower` and `derivative_from_lower` read
+back without a copy.
 """
 
 from __future__ import annotations
@@ -41,29 +44,41 @@ class SplineGrid:
 
 
 def _grid_units(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
-    """u = (x - t_0)/h with a trailing axis, ready to broadcast over basis index j."""
+    """u = (x - t_0)/h as one (1, N) row over the N = x.size inputs."""
     t = grid.knots
-    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0]))[..., None]
+    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0])).reshape(1, -1)
 
 
-def _cox_de_boor_step(uu: np.ndarray, lower: np.ndarray, d: int) -> np.ndarray:
-    """Degree-(d-1) basis -> degree-d basis, one column fewer.
+def _basis_first(lower: np.ndarray) -> np.ndarray:
+    """A basis in the public (..., n) layout as (n, N); no copy for this module's output."""
+    return lower.reshape(-1, lower.shape[-1]).T
+
+
+def _public(b: np.ndarray, shape: tuple) -> np.ndarray:
+    """An (n, N) basis as the public shape + (n,) layout: a transposed view."""
+    return b.T.reshape(shape + (len(b),))
+
+
+def _cox_de_boor_step(u: np.ndarray, lower: np.ndarray, d: int) -> np.ndarray:
+    """Degree-(d-1) basis -> degree-d basis, one row fewer; both (n, N).
 
     The knots are uniform, t_j = t_0 + j*h, so in grid units u the recursion
-    coefficients reduce to (u - j)/d and (j + d + 1 - u)/d.
+    coefficients reduce to (u - j)/d and (j + d + 1 - u)/d. Basis index j
+    runs down a column and the inputs along each row, so every inner loop is
+    N long rather than n.
     """
-    jj = np.arange(lower.shape[-1] - 1)
-    return ((uu - jj) * lower[..., :-1] + (jj + d + 1 - uu) * lower[..., 1:]) / d
+    j = np.arange(len(lower) - 1)[:, None]
+    return ((u - j) * lower[:-1] + (j + d + 1 - u) * lower[1:]) / d
 
 
 def _basis_of_degree(x: np.ndarray, grid: SplineGrid, degree: int) -> np.ndarray:
     """All B-spline basis functions of `degree` on the grid, stacked last axis."""
-    uu = _grid_units(x, grid)
-    j0 = np.arange(len(grid.knots) - 1)
-    b = ((uu >= j0) & (uu < j0 + 1)).astype(np.float64)
+    u = _grid_units(x, grid)
+    j0 = np.arange(len(grid.knots) - 1)[:, None]
+    b = ((u >= j0) & (u < j0 + 1)).astype(np.float64)
     for d in range(1, degree + 1):
-        b = _cox_de_boor_step(uu, b, d)
-    return b
+        b = _cox_de_boor_step(u, b, d)
+    return _public(b, np.shape(x))
 
 
 def bspline_basis(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
@@ -83,13 +98,15 @@ def bspline_basis_lower(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
 
 def basis_from_lower(x: np.ndarray, grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
     """One Cox-de Boor step: degree-(order-1) basis -> degree-order basis."""
-    return _cox_de_boor_step(_grid_units(x, grid), lower, grid.order)
+    b = _cox_de_boor_step(_grid_units(x, grid), _basis_first(lower), grid.order)
+    return _public(b, lower.shape[:-1])
 
 
 def derivative_from_lower(grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
     """d/dx of the degree-order basis from the degree-(order-1) basis."""
     h = grid.knots[1] - grid.knots[0]
-    return (lower[..., :-1] - lower[..., 1:]) / h
+    b = _basis_first(lower)
+    return _public((b[:-1] - b[1:]) / h, lower.shape[:-1])
 
 
 def bspline_basis_derivative(x: np.ndarray, grid: SplineGrid) -> np.ndarray:

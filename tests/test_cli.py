@@ -79,11 +79,18 @@ class TestConfig:
         "fed.client_momentum = inf", "fed.client_momentum = 1.0",
         "fed.server_momentum = -0.1", "fed.server_momentum = nan",
         "n_clients = -3", "n_clients = 0",
+        "labels_per_client = 0", "labels_per_client = 11",
+        "fed.parallel_clients = 0", "fed.parallel_clients = -2",
     ])
     def test_nonsense_value_rejected(self, line):
         key = line.partition(" =")[0].removeprefix("fed.")
         with pytest.raises(ConfigurationError, match=f"^{key} must be"):
             load_config(f"master_seed = 3\n{line}\n")
+
+    def test_labels_per_client_bounds_allowed(self):
+        # 1 and 10 (every label) are the ends of the range the partitioner deals
+        for k in (1, 10):
+            assert load_config(f"labels_per_client = {k}\n").labels_per_client == k
 
     def test_zero_step_and_momentum_allowed(self):
         cfg = load_config("fed.lr = 0.0\nfed.server_lr = 0\nfed.client_momentum = 0\n")
@@ -201,6 +208,23 @@ class TestRun:
         path.write_text("fed.lr = nan\n")
         assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
         assert "usage error: lr must be finite and >= 0, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_unrunnable_config_value_exit_1(self, tmp_path, capsys, dump):
+        path = tmp_path / "exp.cfg"
+        path.write_text("labels_per_client = 11\n")
+        assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
+        assert ("usage error: labels_per_client must be in [1, 10], got 11"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", [("--parallel-clients", "parallel_clients"),
+                                      ("--trials", "trials_per_model"),
+                                      ("--rounds", "n_rounds")])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_flag_exit_1(self, capsys, flag, value):
+        # a zero flag is applied and refused, not dropped as if it were absent
+        assert run_cli("run", "--dump-config", flag[0], value) == 1
+        assert f"usage error: {flag[1]} must be positive" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as e:

@@ -1,9 +1,11 @@
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from kanfed import federation
 from kanfed.data import ClientPartition, normalize, pathological_partition
 from kanfed.errors import InternalError
 from kanfed.federation import (
@@ -270,3 +272,31 @@ class TestRunTrial:
             assert ra.test_acc == rb.test_acc
             assert ra.test_loss == rb.test_loss
             assert ra.train_loss == rb.train_loss
+
+    @pytest.mark.parametrize("parallel_clients", [1, 2])
+    def test_no_client_update_alive_during_evaluate(self, small_data, monkeypatch,
+                                                    parallel_clients):
+        train, test = small_data
+        parts = pathological_partition(train, 10, 2, RngStream(17))
+        fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.3,
+                               parallel_clients=parallel_clients)
+        # ClientUpdate is an unhashable dataclass, so weak references, not a WeakSet
+        updates = []
+        evaluated = []
+        local_train, evaluate = federation.local_train, federation.evaluate
+
+        def recording_local_train(*args):
+            update = local_train(*args)
+            updates.append(weakref.ref(update))
+            return update
+
+        def checking_evaluate(*args):
+            alive = sum(ref() is not None for ref in updates)
+            assert alive == 0, f"{alive} client updates alive during evaluate"
+            evaluated.append(True)
+            return evaluate(*args)
+
+        monkeypatch.setattr(federation, "local_train", recording_local_train)
+        monkeypatch.setattr(federation, "evaluate", checking_evaluate)
+        run_trial(small_model(), fed, train, test, parts, 18, "w")
+        assert len(evaluated) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from kanfed.metrics import (
     write_atomic,
     write_logs,
 )
-from kanfed.models import ModelConfig, ModelState, init_params, param_count
+from kanfed.models import (
+    ModelConfig,
+    ModelState,
+    default_config,
+    forward,
+    init_params,
+    param_count,
+)
 from kanfed.numerics import RngStream
 
 from conftest import make_synth_dataset
@@ -70,6 +78,25 @@ class TestEvaluate:
         b = evaluate(state, test, batch_size=1000)
         assert a[0] == b[0]
         assert abs(a[1] - b[1]) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["spline_kan", "rbf_kan"])
+    def test_holds_one_batch_at_a_time(self, kind):
+        # three 512-row batches: evaluate's peak is about one batch's forward,
+        # not two, so each batch's cache is freed before the next forward
+        test = normalize(make_synth_dataset(1536, 43))
+        state = init_params(default_config(kind), RngStream(44))
+
+        def peak_bytes(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_forward = peak_bytes(lambda: forward(state, test.model_inputs[:512]))
+        whole = peak_bytes(lambda: evaluate(state, test, batch_size=512))
+        assert whole <= 1.25 * one_forward
 
 
 class TestLogs:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from kanfed import models, splines
+from kanfed.models import ModelConfig, backward, forward, init_params
 from kanfed.numerics import RngStream
-from kanfed.splines import SplineGrid, bspline_basis, bspline_basis_derivative
+from kanfed.splines import (
+    SplineGrid,
+    basis_from_lower,
+    bspline_basis,
+    bspline_basis_derivative,
+    bspline_basis_lower,
+    derivative_from_lower,
+)
 
 
 def deboor_oracle(j, k, x, t):
@@ -78,3 +87,84 @@ class TestDerivative:
         left = (bspline_basis(x, grid) - bspline_basis(x - h, grid)) / h
         right = (bspline_basis(x + h, grid) - bspline_basis(x, grid)) / h
         assert np.abs(left - right).max() < 1e-6
+
+
+# the trailing-axis recursion that the basis-first layout replaced, kept as the oracle
+def _trailing_units(x, grid):
+    t = grid.knots
+    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0]))[..., None]
+
+
+def _trailing_step(uu, lower, d):
+    jj = np.arange(lower.shape[-1] - 1)
+    return ((uu - jj) * lower[..., :-1] + (jj + d + 1 - uu) * lower[..., 1:]) / d
+
+
+def trailing_lower(x, grid):
+    uu = _trailing_units(x, grid)
+    j0 = np.arange(len(grid.knots) - 1)
+    b = ((uu >= j0) & (uu < j0 + 1)).astype(np.float64)
+    for d in range(1, grid.order):
+        b = _trailing_step(uu, b, d)
+    return b
+
+
+def trailing_from_lower(x, grid, lower):
+    return _trailing_step(_trailing_units(x, grid), lower, grid.order)
+
+
+def trailing_derivative(grid, lower):
+    return (lower[..., :-1] - lower[..., 1:]) / (grid.knots[1] - grid.knots[0])
+
+
+class TestBasisFirstLayout:
+    """The basis-first recursion against the trailing-axis one, bit for bit."""
+
+    SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -1.0, 1.0, -7.5, 9.0]
+
+    @staticmethod
+    def inputs(shape, seed, grid):
+        x = RngStream(seed).gen.uniform(grid.knots[0] - 1.0, grid.knots[-1] + 1.0, shape)
+        flat = x.reshape(-1)
+        specials = TestBasisFirstLayout.SPECIAL + list(grid.knots)
+        flat[: min(len(specials), flat.size)] = specials[: flat.size]
+        return x
+
+    # inf * 0 gives NaN in both recursions, with a RuntimeWarning
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(64, 24), (7,), (3, 5, 784)])
+    @pytest.mark.parametrize("grid_size,order", [(5, 3), (3, 2), (4, 1)])
+    def test_matches_trailing_axis_recursion(self, shape, grid_size, order):
+        grid = SplineGrid(grid_size, order)
+        x = self.inputs(shape, 60 + grid_size, grid)
+        lower = bspline_basis_lower(x, grid)
+        old_lower = trailing_lower(x, grid)
+        assert lower.shape == old_lower.shape == shape + (grid.n_basis + 1,)
+        assert np.array_equal(lower, old_lower, equal_nan=True)
+        value = basis_from_lower(x, grid, lower)
+        assert value.shape == shape + (grid.n_basis,)
+        assert np.array_equal(value, trailing_from_lower(x, grid, old_lower), equal_nan=True)
+        assert np.array_equal(bspline_basis(x, grid), value, equal_nan=True)
+        deriv = derivative_from_lower(grid, lower)
+        assert deriv.shape == shape + (grid.n_basis,)
+        assert np.array_equal(deriv, trailing_derivative(grid, old_lower), equal_nan=True)
+        # the value and derivative read this module's lower back without a copy
+        assert np.shares_memory(splines._basis_first(lower), lower)
+
+    def test_spline_kan_forward_backward_unchanged(self, monkeypatch):
+        # float input runs the basis at every layer; the models consume the
+        # transposed views exactly as they consumed the trailing-axis arrays
+        cfg = ModelConfig(kind="spline_kan", layer_widths=(784, 24, 24, 10))
+        state = init_params(cfg, RngStream(70))
+        x = RngStream(71).gen.uniform(-2.5, 2.5, (64, 784))
+        g = RngStream(72).gen.normal(size=(64, 10))
+        out = []
+        for fns in ((bspline_basis_lower, basis_from_lower, derivative_from_lower),
+                    (trailing_lower, trailing_from_lower, trailing_derivative)):
+            for name, fn in zip(("bspline_basis_lower", "basis_from_lower",
+                                 "derivative_from_lower"), fns):
+                monkeypatch.setattr(models, name, fn)
+            logits, cache = forward(state, x)
+            out.append((logits, *backward(state, cache, g)))
+        for a, b in zip(*out):
+            assert np.array_equal(a, b)
