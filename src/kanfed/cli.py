@@ -74,8 +74,8 @@ def _effective_config(args) -> cfgmod.ExperimentConfig:
     cfg = cfgmod.load_config_file(args.config) if args.config else cfgmod.ExperimentConfig()
     if getattr(args, "preset", None) == "desk":
         cfg = cfgmod.desk_preset(cfg)
-    if getattr(args, "models", None):
-        cfg = replace(cfg, models=tuple(m.strip() for m in args.models.split(",")))
+    if getattr(args, "models", None) is not None:
+        cfg = replace(cfg, models=tuple(m.strip() for m in args.models.split(",") if m.strip()))
     if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, trials_per_model=args.trials)
     if getattr(args, "rounds", None) is not None:

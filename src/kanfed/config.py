@@ -29,6 +29,9 @@ class ExperimentConfig:
     fed: FederationConfig = field(default_factory=FederationConfig)
 
     def __post_init__(self):
+        if not self.models or len(set(self.models)) != len(self.models):
+            raise ConfigurationError(
+                f"models must be one or more distinct kinds, got {','.join(self.models)!r}")
         for m in self.models:
             if m not in MODEL_KINDS:
                 raise ConfigurationError(f"unknown model kind {m!r}")
@@ -78,6 +81,7 @@ _TYPES = {key: type(value) for key, value in _values(ExperimentConfig()).items()
 def load_config(text: str) -> ExperimentConfig:
     top: dict = {}
     fed: dict = {}
+    seen: dict[str, int] = {}  # line number of each key
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -89,6 +93,9 @@ def load_config(text: str) -> ExperimentConfig:
         convert = _TYPES.get(key)
         if convert is None:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigurationError(f"config lines {seen[key]} and {lineno} both set {key}")
+        seen[key] = lineno
         if convert is tuple:
             value = tuple(m.strip() for m in raw.split(",") if m.strip())
         else:

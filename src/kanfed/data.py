@@ -254,14 +254,9 @@ def _deal_distinct(order: list, shards: list, a: int, k: int) -> bool:
 
 
 def pathological_partition(
-    ds: Dataset,
-    n_clients: int = 100,
-    labels_per_client: int = 2,
-    rng: RngStream | None = None,
+    ds: Dataset, n_clients: int, labels_per_client: int, rng: RngStream
 ) -> list[ClientPartition]:
     """Split the training set so each client holds exactly `labels_per_client` digit labels."""
-    if rng is None:
-        raise ConfigurationError("pathological_partition requires an RngStream")
     labels = np.unique(ds.labels)
     n_labels = len(labels)
     k = labels_per_client

@@ -97,8 +97,6 @@ def local_train(
     last_losses: list[tuple[float, float, int]] = []
     for epoch in range(cfg.local_epochs):
         order = gen.permutation(len(indices))
-        if epoch == cfg.local_epochs - 1:
-            last_losses.clear()
         for start in range(0, len(order), cfg.batch_size):
             sel = indices[order[start : start + cfg.batch_size]]
             imgs = inputs[sel]

@@ -7,7 +7,9 @@ layer's tensor shapes, their init, and a hand-derived forward and backward
 `backward` are each one loop over layers that calls the spec.
 
 All parameters live in one flat float64 vector, laid out layer by layer as
-(``l<layer>.<name>``, shape, offset) entries; checkpoints store this layout.
+(``l<layer>.<name>``, shape, offset) entries. The order matters outside this
+module: `perfbench/checks.py::unflatten` reads it, and
+`tests/test_models.py::test_reference_layout_pinned` pins it.
 `backward` writes gradients into views of one zeroed vector of that layout.
 
 Pixel-code input
@@ -49,15 +51,14 @@ largest entry (tests/test_models.py::TestRbfKernel).
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import PIXEL_LEVELS
-from .errors import ConfigurationError, DataError, InternalError
+from .errors import ConfigurationError, InternalError
 from .numerics import RngStream, relu, relu_backward, silu, silu_backward
 from .splines import (
     SplineGrid,
@@ -94,10 +95,6 @@ class ModelConfig:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
         if len(self.layer_widths) < 2:
             raise ConfigurationError("need at least input and output widths")
-        # tuples of one number type, so a config read back from JSON lists equals this one
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        for name in ("grid_range", "rbf_range"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
     @property
     def n_layers(self) -> int:
@@ -329,11 +326,9 @@ class ModelState:
 
     config: ModelConfig
     params: np.ndarray
-    layout: list[tuple[str, tuple[int, ...], int]] = field(default=None)
 
     def __post_init__(self):
-        if self.layout is None:
-            self.layout = build_layout(self.config)
+        self.layout = build_layout(self.config)
         expected = param_count(self.config)
         if self.params.shape != (expected,):
             raise InternalError(
@@ -357,7 +352,7 @@ class ModelState:
         }
 
     def clone(self) -> "ModelState":
-        return ModelState(self.config, self.params.copy(), list(self.layout))
+        return ModelState(self.config, self.params.copy())
 
 
 def init_params(config: ModelConfig, rng: RngStream) -> ModelState:
@@ -411,51 +406,3 @@ def backward(state: ModelState, cache: dict, grad_logits: np.ndarray):
         g = spec.backward(cfg, state.layer_views(l), cache["layers"][l], g,
                           state.layer_views(l, flat), l > 0 or not cache["codes"])
     return flat, g
-
-
-# ---------------------------------------------------------------------------
-# checkpoint serialization
-
-_MAGIC = b"KANFEDCK"
-_VERSION = 1
-
-
-def save_state(state: ModelState, path) -> None:
-    """Write a versioned binary checkpoint; round-trips byte-exactly."""
-    header = json.dumps(
-        {
-            "version": _VERSION,
-            "config": asdict(state.config),
-            "layout": [[n, list(s), o] for n, s, o in state.layout],
-        },
-        sort_keys=True,
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(len(header).to_bytes(4, "little"))
-        f.write(header)
-        f.write(state.params.astype("<f8").tobytes())
-
-
-def load_state(path) -> ModelState:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:8] != _MAGIC:
-        raise DataError(f"bad checkpoint magic {blob[:8]!r} in {path}")
-    # a truncated length field reads short, and the header then fails to parse
-    end = 12 + int.from_bytes(blob[8:12], "little")
-    header, body = blob[12:end], blob[end:]
-    try:
-        header = json.loads(header)
-        if header["version"] != _VERSION:
-            raise DataError(f"unsupported checkpoint version {header['version']}")
-        layout = header["layout"]
-        config = ModelConfig(**{f.name: header["config"][f.name] for f in fields(ModelConfig)})
-    except (ValueError, TypeError, KeyError, ConfigurationError) as e:
-        raise DataError(f"{path}: truncated or malformed checkpoint header ({e!r})") from e
-    if len(body) != 8 * param_count(config):
-        raise DataError(f"{path}: {len(body)} parameter bytes, expected {8 * param_count(config)}")
-    state = ModelState(config, np.frombuffer(body, dtype="<f8").astype(np.float64))
-    if layout != [[n, list(s), o] for n, s, o in state.layout]:
-        raise DataError("checkpoint layout does not match its config")
-    return state

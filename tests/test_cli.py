@@ -68,6 +68,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config("fed.nonsense = 1\n")
 
+    def test_repeated_key_rejected(self):
+        # the later value would otherwise win without a word
+        with pytest.raises(ConfigurationError, match="config lines 2 and 4 both set fed.lr$"):
+            load_config("master_seed = 3\nfed.lr = 0.1\n\nfed.lr = 5\n")
+
     @pytest.mark.parametrize("line", ["fed.lr = abc", "fed.n_rounds = 1.5", "n_clients = ten"])
     def test_bad_value_rejected(self, line):
         key = line.partition(" =")[0]
@@ -81,6 +86,7 @@ class TestConfig:
         "n_clients = -3", "n_clients = 0",
         "labels_per_client = 0", "labels_per_client = 11",
         "fed.parallel_clients = 0", "fed.parallel_clients = -2",
+        "models = ", "models = mlp,mlp",
     ])
     def test_nonsense_value_rejected(self, line):
         key = line.partition(" =")[0].removeprefix("fed.")
@@ -225,6 +231,11 @@ class TestRun:
         # a zero flag is applied and refused, not dropped as if it were absent
         assert run_cli("run", "--dump-config", flag[0], value) == 1
         assert f"usage error: {flag[1]} must be positive" in capsys.readouterr().err
+
+    def test_empty_models_flag_exit_1(self, capsys):
+        # an empty list is applied and refused, not dropped as if it were absent
+        assert run_cli("run", "--dump-config", "--models", "") == 1
+        assert "usage error: models must be" in capsys.readouterr().err
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as e:

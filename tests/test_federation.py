@@ -107,6 +107,28 @@ class TestLocalTrain:
         # single momentum step from zero velocity: delta == -lr * grad
         assert np.allclose(upd.delta, -cfg.lr * grads, atol=0)
 
+    def test_train_stats_average_last_epoch_only(self, small_data, monkeypatch):
+        train, _ = small_data
+        calls = []  # (logits, labels, loss) of every batch
+
+        def recording(logits, labels):
+            loss, grad_logits = softmax_cross_entropy(logits, labels)
+            calls.append((logits, labels, loss))
+            return loss, grad_logits
+
+        monkeypatch.setattr(federation, "softmax_cross_entropy", recording)
+        part = ClientPartition(0, np.arange(150), frozenset(np.unique(train.labels[:150])))
+        cfg = FederationConfig(n_rounds=1, local_epochs=3, batch_size=64)
+        upd = local_train(init_params(small_model(), RngStream(2)), part, train, cfg,
+                          RngStream(7))
+        assert [len(y) for _, y, _ in calls] == [64, 64, 22] * 3
+        # sample-weighted means over the last epoch's three batches, bit-exact
+        last = calls[-3:]
+        loss = sum(l * len(y) for _, y, l in last) / 150
+        acc = sum(float((np.argmax(z, axis=1) == y).mean()) * len(y) for z, y, _ in last) / 150
+        assert upd.train_loss == loss and upd.train_acc == acc
+        assert loss != sum(l * len(y) for _, y, l in calls) / 450
+
     def test_empty_partition_rejected(self, small_data):
         train, _ = small_data
         state = init_params(small_model(), RngStream(2))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from kanfed import models
 from kanfed.data import PIXEL_LEVELS
-from kanfed.errors import ConfigurationError, DataError, InternalError
+from kanfed.errors import ConfigurationError, InternalError
 from kanfed.models import (
     KIND_MLP,
     KIND_RBF,
@@ -18,9 +17,7 @@ from kanfed.models import (
     default_config,
     forward,
     init_params,
-    load_state,
     param_count,
-    save_state,
 )
 from kanfed.numerics import RngStream, silu, softmax_cross_entropy
 
@@ -80,8 +77,8 @@ class TestParamCount:
                 expected += 2 * i + cfg.num_centers * i * o + i * o + o
         assert param_count(cfg) == expected
 
-    # checkpoints and perfbench/checks.py::unflatten read the flat vector in
-    # exactly this order: (name, shape, offset) of every tensor
+    # perfbench/checks.py::unflatten reads the flat vector in exactly this
+    # order, and this table pins it: (name, shape, offset) of every tensor
     REFERENCE_LAYOUTS = {
         KIND_MLP: [
             ("l0.weight", (200, 784), 0),
@@ -421,52 +418,3 @@ class TestRbfKernel:
         assert any(not np.isfinite(b).all() for b in old) == overflows
         for a, b in zip(new, old):
             assert np.array_equal(np.isfinite(a), np.isfinite(b))
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_byte_exact_round_trip(self, kind, tmp_path):
-        state = init_params(small_config(kind), RngStream(30))
-        p1 = tmp_path / "a.ckpt"
-        p2 = tmp_path / "b.ckpt"
-        save_state(state, p1)
-        loaded = load_state(p1)
-        assert loaded.config == state.config
-        assert np.array_equal(loaded.params, state.params)
-        save_state(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    @pytest.mark.parametrize("case", [
-        "magic only", "cut length field", "cut header", "header not JSON",
-        "header not an object", "header lacks layout", "config lacks a field",
-        "unknown kind", "cut params", "one param short",
-    ])
-    def test_corrupt_checkpoint_is_data_error(self, tmp_path, case):
-        path = tmp_path / "a.ckpt"
-        save_state(init_params(small_config(KIND_RBF), RngStream(31)), path)
-        good = path.read_bytes()
-        end = 12 + int.from_bytes(good[8:12], "little")
-        header, body = json.loads(good[12:end]), good[end:]
-
-        def packed(h):
-            text = h if isinstance(h, bytes) else json.dumps(h).encode()
-            return good[:8] + len(text).to_bytes(4, "little") + text + body
-
-        assert packed(header) == good  # so each case differs from a good file only as named
-        config = header["config"]
-        blobs = {
-            "magic only": good[:8],
-            "cut length field": good[:10],
-            "cut header": good[: end - 5],
-            "header not JSON": packed(b"{not json"),
-            "header not an object": packed([1, 2]),
-            "header lacks layout": packed({k: v for k, v in header.items() if k != "layout"}),
-            "config lacks a field": packed(dict(header, config={
-                k: v for k, v in config.items() if k != "num_centers"})),
-            "unknown kind": packed(dict(header, config=dict(config, kind="cnn"))),
-            "cut params": good[:-3],
-            "one param short": good[:-8],
-        }
-        path.write_bytes(blobs[case])
-        with pytest.raises(DataError):
-            load_state(path)
