@@ -91,6 +91,7 @@ def local_train(
         raise InternalError(f"client {part.client_id} has no data")
     local = global_model.clone()
     velocity = np.zeros(len(local.params))
+    grads = np.empty(len(local.params))  # every backward overwrites it
     gen = rng.gen
     indices = part.indices
     inputs = train.model_inputs
@@ -103,7 +104,7 @@ def local_train(
             labs = train.labels[sel]
             logits, cache = forward(local, imgs)
             loss, grad_logits = softmax_cross_entropy(logits, labs)
-            grads, _ = backward(local, cache, grad_logits)
+            backward(local, cache, grad_logits, out=grads)
             sgd_momentum_step(local.params, grads, velocity, cfg.lr, cfg.client_momentum)
             if epoch == cfg.local_epochs - 1:
                 acc = float((np.argmax(logits, axis=1) == labs).mean())

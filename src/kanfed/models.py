@@ -10,7 +10,8 @@ All parameters live in one flat float64 vector, laid out layer by layer as
 (``l<layer>.<name>``, shape, offset) entries. The order matters outside this
 module: `perfbench/checks.py::unflatten` reads it, and
 `tests/test_models.py::test_reference_layout_pinned` pins it.
-`backward` writes gradients into views of one zeroed vector of that layout.
+`backward` writes gradients into views of one vector of that layout, which
+the caller may pass as `out`; every entry of it is overwritten.
 
 Pixel-code input
 ----------------
@@ -101,8 +102,7 @@ class ModelConfig:
         return len(self.layer_widths) - 1
 
     def spline_grid(self) -> SplineGrid:
-        lo, hi = self.grid_range
-        return SplineGrid(self.grid_size, self.spline_order, lo, hi)
+        return _spline_grid(self.grid_size, self.spline_order, *self.grid_range)
 
     def rbf_centers(self) -> np.ndarray:
         lo, hi = self.rbf_range
@@ -113,6 +113,10 @@ class ModelConfig:
         return (hi - lo) / (self.num_centers - 1)
 
 
+# a SplineGrid is frozen and its knots read-only, so one per grid is shared
+_spline_grid = functools.lru_cache(maxsize=None)(SplineGrid)
+
+
 def default_config(kind: str) -> ModelConfig:
     """Reference architecture for `kind` (MLP [784,200,200,10], KANs [784,24,24,10])."""
     return ModelConfig(kind=kind, layer_widths=REFERENCE_WIDTHS[kind])
@@ -121,6 +125,7 @@ def default_config(kind: str) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # layer specs: p maps a tensor name to its view in the params, grad to its
 # view in the flat gradient; i and o are the layer's input and output widths.
+# A backward overwrites every entry of its grad views, whatever they held.
 # A forward gets the layer input x and, at layer 0 of a pixel-code batch, the
 # codes with x == PIXEL_LEVELS[codes] (else None). A backward returns the
 # input gradient only when need_input is true, else None.
@@ -153,8 +158,8 @@ def _mlp_forward(cfg, p, x, codes, last):
 def _mlp_backward(cfg, p, cache, g, grad, need_input):
     if "pre" in cache:
         g = g * relu_backward(cache["pre"])
-    grad["weight"][:] = g.T @ cache["x"]
-    grad["bias"][:] = g.sum(axis=0)
+    np.matmul(g.T, cache["x"], out=grad["weight"])
+    np.sum(g, axis=0, out=grad["bias"])
     return g @ p["weight"] if need_input else None
 
 
@@ -175,7 +180,7 @@ def _spline_init(cfg, gen, p, i, o):
 @functools.lru_cache(maxsize=None)
 def _spline_code_tables(grid_size: int, order: int, lo: float, hi: float):
     """silu and the degree-order basis of every pixel code: (256,), (256, n_basis)."""
-    grid = SplineGrid(grid_size, order, lo, hi)
+    grid = _spline_grid(grid_size, order, lo, hi)
     act = silu(PIXEL_LEVELS)
     bas = basis_from_lower(PIXEL_LEVELS, grid, bspline_basis_lower(PIXEL_LEVELS, grid))
     act.flags.writeable = bas.flags.writeable = False  # shared by every caller
@@ -204,10 +209,11 @@ def _spline_backward(cfg, p, cache, g, grad, need_input):
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
-    grad["base_weight"][:] = g.T @ cache["silu"]
+    np.matmul(g.T, cache["silu"], out=grad["base_weight"])
     gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
-    grad["spline_weight"][:] = gw * sc[:, :, None]
-    grad["spline_scaler"][:] = (gw * ws).sum(axis=2)
+    np.multiply(gw, sc[:, :, None], out=grad["spline_weight"])
+    gw *= ws
+    np.sum(gw, axis=2, out=grad["spline_scaler"])
     if not need_input:
         return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
@@ -241,16 +247,29 @@ def _rbf_init(cfg, gen, p, i, o):
     p["base_weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
+@functools.lru_cache(maxsize=None)
+def _rbf_operands(cfg: ModelConfig):
+    """h and the center operands of the two BLAS products over the k centers c:
+    [[1/h, ...], [-c/h, ...]] (2, k) and [1, c] (k, 2) (read-only, cached)."""
+    c, h = cfg.rbf_centers(), cfg.rbf_bandwidth()
+    fwd = np.stack([np.full(len(c), 1.0 / h), -c / h])
+    bwd = np.stack([np.ones(len(c)), c], axis=1)
+    fwd.flags.writeable = bwd.flags.writeable = False  # shared by every caller
+    return h, fwd, bwd
+
+
 def _rbf_forward(cfg, p, x, codes, last):
     wr = p["rbf_weight"]
     bsz, i = x.shape
     o, _, k = wr.shape
     zhat, inv = _layernorm(x)
     z = zhat * p["ln_gain"] + p["ln_bias"]
-    c, h = cfg.rbf_centers(), cfg.rbf_bandwidth()
+    _, to_u, _ = _rbf_operands(cfg)
     # u = z/h - c/h for every center: one (b*i, 2) @ (2, k) product, then phi in place
-    zs = np.stack([z.ravel(), np.ones(bsz * i)], axis=1)
-    phi = zs @ np.stack([np.full(k, 1.0 / h), -c / h])
+    zs = np.empty((bsz * i, 2))
+    zs[:, 0] = z.ravel()
+    zs[:, 1] = 1.0
+    phi = zs @ to_u
     np.square(phi, out=phi)
     np.negative(phi, out=phi)
     np.exp(phi, out=phi)
@@ -264,18 +283,18 @@ def _rbf_backward(cfg, p, cache, g, grad, need_input):
     wr = p["rbf_weight"]
     bsz, i = x.shape
     o, _, k = wr.shape
-    c, h = cfg.rbf_centers(), cfg.rbf_bandwidth()
-    grad["rbf_weight"][:] = (g.T @ phi).reshape(o, i, k)
-    grad["base_weight"][:] = g.T @ x
-    grad["base_bias"][:] = g.sum(axis=0)
+    h, _, to_s = _rbf_operands(cfg)
+    np.matmul(g.T, phi, out=grad["rbf_weight"].reshape(o, i * k))
+    np.matmul(g.T, x, out=grad["base_weight"])
+    np.sum(g, axis=0, out=grad["base_bias"])
     t = g @ wr.reshape(o, -1)
     t *= phi
     # dphi_k/dz = -2 (z - c_k)/h^2 phi_k, so dz = -2/h^2 (z s0 - s1) with
     # s0 = sum_k t phi_k and s1 = sum_k t phi_k c_k: one (b*i, k) @ (k, 2) product
-    s0, s1 = (t.reshape(-1, k) @ np.stack([np.ones(k), c], axis=1)).T.reshape(2, bsz, i)
+    s0, s1 = (t.reshape(-1, k) @ to_s).T.reshape(2, bsz, i)
     dz = (-2.0 / h**2) * (z * s0 - s1)
-    grad["ln_gain"][:] = (dz * zhat).sum(axis=0)
-    grad["ln_bias"][:] = dz.sum(axis=0)
+    np.sum(dz * zhat, axis=0, out=grad["ln_gain"])
+    np.sum(dz, axis=0, out=grad["ln_bias"])
     if not need_input:
         return None
     dzhat = dz * p["ln_gain"]
@@ -388,19 +407,24 @@ def forward(state: ModelState, batch: np.ndarray):
     return x, {"params": state.params, "layers": layers, "codes": codes is not None}
 
 
-def backward(state: ModelState, cache: dict, grad_logits: np.ndarray):
+def backward(state: ModelState, cache: dict, grad_logits: np.ndarray,
+             out: np.ndarray | None = None):
     """Gradient of the (already reduced) loss w.r.t. all parameters and input.
 
     `grad_logits` is dL/dlogits from the loss; returns (flat_param_grad,
-    grad_input) with the flat gradient aligned with state.layout. grad_input
-    is None when the batch was pixel codes. The cache must come from
-    `forward` on this state's current params array.
+    grad_input) with the flat gradient aligned with state.layout. The flat
+    gradient is written into `out` when given, overwriting every entry, and
+    `out` itself is returned; else into a new vector. grad_input is None
+    when the batch was pixel codes. The cache must come from `forward` on
+    this state's current params array.
     """
     if cache.get("params") is not state.params:
         raise InternalError("cache does not belong to this model state")
+    if out is not None and out.shape != state.params.shape:
+        raise InternalError(f"gradient buffer {out.shape} != params {state.params.shape}")
     cfg = state.config
     spec = LAYER_SPECS[cfg.kind]
-    flat = np.zeros_like(state.params)
+    flat = np.empty_like(state.params) if out is None else out
     g = grad_logits
     for l in range(cfg.n_layers - 1, -1, -1):
         g = spec.backward(cfg, state.layer_views(l), cache["layers"][l], g,

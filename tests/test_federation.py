@@ -107,6 +107,22 @@ class TestLocalTrain:
         # single momentum step from zero velocity: delta == -lr * grad
         assert np.allclose(upd.delta, -cfg.lr * grads, atol=0)
 
+    def test_one_gradient_buffer_per_client(self, small_data, monkeypatch):
+        train, _ = small_data
+        buffers = []  # the `out` of every backward call
+
+        def recording(*args, **kwargs):
+            buffers.append(kwargs.get("out"))
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "backward", recording)
+        state = init_params(small_model(), RngStream(2))
+        part = ClientPartition(0, np.arange(150), frozenset(np.unique(train.labels[:150])))
+        cfg = FederationConfig(n_rounds=1, local_epochs=2, batch_size=64)
+        local_train(state, part, train, cfg, RngStream(8))
+        assert len(buffers) == 6 and buffers[0] is not None
+        assert all(b is buffers[0] for b in buffers)
+
     def test_train_stats_average_last_epoch_only(self, small_data, monkeypatch):
         train, _ = small_data
         calls = []  # (logits, labels, loss) of every batch

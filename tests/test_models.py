@@ -156,6 +156,26 @@ class TestInit:
         assert np.abs(spline).mean() < np.abs(base).mean()
 
 
+class TestLayerConstants:
+    """Grids and center operands are built once per setting and shared read-only."""
+
+    def test_spline_grid_shared(self):
+        a = default_config(KIND_SPLINE).spline_grid()
+        b = small_config(KIND_SPLINE).spline_grid()
+        assert a is b and not a.knots.flags.writeable
+        assert ModelConfig(kind=KIND_SPLINE, layer_widths=(6, 2), grid_size=3).spline_grid() is not a
+
+    def test_rbf_operands(self):
+        cfg = default_config(KIND_RBF)
+        h, fwd, bwd = models._rbf_operands(cfg)
+        assert models._rbf_operands(cfg)[1] is fwd
+        c = cfg.rbf_centers()
+        assert h == cfg.rbf_bandwidth()
+        assert np.array_equal(fwd, np.stack([np.full(8, 1.0 / h), -c / h]))
+        assert np.array_equal(bwd, np.stack([np.ones(8), c], axis=1))
+        assert not fwd.flags.writeable and not bwd.flags.writeable
+
+
 class TestForward:
     def test_mlp_zero_params(self):
         cfg = small_config(KIND_MLP, (4, 3, 10))
@@ -284,6 +304,26 @@ class TestBackward:
         state.params[idx] += eps
         loss1 = loss_of(state, x, y)
         assert abs((loss1 - loss0) - eps * g[idx]) < 10 * eps**2
+
+    @pytest.mark.parametrize("codes", [True, False])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_out_buffer_overwritten(self, kind, codes):
+        state = init_params(default_config(kind), RngStream(30))
+        x = RngStream(31).gen.integers(0, 256, (64, 784)).astype(np.uint8)
+        _, cache = forward(state, x if codes else PIXEL_LEVELS[x])
+        gl = RngStream(32).gen.normal(size=(64, 10))
+        buf = np.full(len(state.params), np.nan)  # a NaN left anywhere shows
+        g, gx = backward(state, cache, gl, out=buf)
+        g_new, gx_new = backward(state, cache, gl)
+        assert g is buf
+        assert np.array_equal(buf, g_new)
+        assert (gx is None and gx_new is None) if codes else np.array_equal(gx, gx_new)
+
+    def test_out_buffer_of_wrong_length_rejected(self):
+        state = init_params(small_config(KIND_MLP), RngStream(33))
+        _, cache = forward(state, np.zeros((2, 6)))
+        with pytest.raises(InternalError):
+            backward(state, cache, np.zeros((2, 2)), out=np.empty(len(state.params) + 1))
 
     def test_stale_cache_rejected(self):
         state = init_params(small_config(KIND_MLP), RngStream(28))

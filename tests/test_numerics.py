@@ -5,6 +5,7 @@ import pytest
 
 from kanfed.errors import DataError, InternalError
 from kanfed.numerics import (
+    SGD_BLOCK,
     RngStream,
     sgd_momentum_step,
     sigmoid,
@@ -117,3 +118,26 @@ class TestSgdMomentum:
     def test_length_mismatch(self):
         with pytest.raises(InternalError):
             sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
+
+    # lr 0.1 is the client step; server_step passes the negated server lr
+    @pytest.mark.parametrize("lr", [0.1, -1.0])
+    @pytest.mark.parametrize("n", [1, SGD_BLOCK - 1, SGD_BLOCK, SGD_BLOCK + 1, 3 * SGD_BLOCK + 5])
+    def test_blocked_bit_identical_to_unblocked(self, n, lr):
+        gen = RngStream(60).gen
+        params, grads, velocity = (gen.normal(0.0, 10.0, n) for _ in range(3))
+        special = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+        for a in (params, grads, velocity):
+            # at both ends, at the first block edge and at random places
+            where = np.unique(np.r_[0, n - 1, SGD_BLOCK - 1, SGD_BLOCK, gen.integers(0, n, 20)] % n)
+            a[where] = gen.choice(special, len(where))
+        want_p, want_v, grads0 = params.copy(), velocity.copy(), grads.copy()
+        with np.errstate(all="ignore"):
+            want_v *= 0.9
+            want_v += grads
+            want_p -= lr * want_v
+            out = sgd_momentum_step(params, grads, velocity, lr, 0.9)
+        bits = lambda a: a.view(np.uint64)
+        assert out is params
+        assert np.array_equal(bits(params), bits(want_p))
+        assert np.array_equal(bits(velocity), bits(want_v))
+        assert np.array_equal(bits(grads), bits(grads0))
