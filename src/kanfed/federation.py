@@ -105,10 +105,11 @@ def local_train(
             logits, cache = forward(local, imgs)
             loss, grad_logits = softmax_cross_entropy(logits, labs)
             backward(local, cache, grad_logits, out=grads)
-            sgd_momentum_step(local.params, grads, velocity, cfg.lr, cfg.client_momentum)
             if epoch == cfg.local_epochs - 1:
                 acc = float((np.argmax(logits, axis=1) == labs).mean())
                 last_losses.append((loss, acc, len(sel)))
+            sgd_momentum_step(local.params, grads, velocity, cfg.lr, cfg.client_momentum)
+            del logits, cache, grad_logits  # else alive while the next forward runs
     n = sum(c for _, _, c in last_losses)
     train_loss = sum(l * c for l, _, c in last_losses) / n
     train_acc = sum(a * c for _, a, c in last_losses) / n

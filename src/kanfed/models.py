@@ -37,6 +37,17 @@ RBF-KAN layer:    z = layernorm(x); phi_j(z) = exp(-((z - c_j)/h)^2) over 8
                   fixed centers; y = phi(z) @ Wr.T + x @ Wa.T + b  (base
                   path is a plain affine map on the un-normalized input).
 
+The Spline-KAN's sums over the 8 basis values of each edge, the scaler
+gradient sum_k dL/dWs_k Ws_k and the input gradient sum_k t_k B'_k, go
+through `numerics.sum_last_axis`. It takes numpy's own order for an 8-long
+last axis, ((v0 + v1) + (v2 + v3)) + ((v4 + v5) + (v6 + v7)) onto +0.0, as
+seven passes over whole columns rather than one 8-long loop per edge, so
+the sums are bit-identical to np.sum(..., axis=2) and take about a third
+of its time at layer 0. The scaling Ws * scaler stays a broadcast multiply.
+np.einsum("oik,oi->oik") takes it in one pass about 40% faster, but it adds
+each product onto a zeroed output, which turns a -0.0 product into +0.0;
+the scaled weight gradient of a background pixel's edge is such a zero.
+
 The RBF-KAN sends the center axis through BLAS and never broadcasts over
 it. The forward takes u_j = z/h - c_j/h for every input and center as one
 (b*i, 2) @ (2, centers) product of [z, 1] with [[1/h, ...], [-c/h, ...]],
@@ -60,7 +71,7 @@ import numpy as np
 
 from .data import PIXEL_LEVELS
 from .errors import ConfigurationError, InternalError
-from .numerics import RngStream, relu, relu_backward, silu, silu_backward
+from .numerics import RngStream, relu, relu_backward, silu, silu_backward, sum_last_axis
 from .splines import (
     SplineGrid,
     basis_from_lower,
@@ -213,13 +224,14 @@ def _spline_backward(cfg, p, cache, g, grad, need_input):
     gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
     np.multiply(gw, sc[:, :, None], out=grad["spline_weight"])
     gw *= ws
-    np.sum(gw, axis=2, out=grad["spline_scaler"])
+    grad["spline_scaler"][:] = sum_last_axis(gw)
     if not need_input:
         return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
     t = (g @ ws_scaled).reshape(bsz, i, c)
     dbas = derivative_from_lower(cfg.spline_grid(), cache["lower"])
-    return g @ p["base_weight"] * silu_backward(x) + (t * dbas).sum(axis=2)
+    t *= dbas
+    return g @ p["base_weight"] * silu_backward(x) + sum_last_axis(t)
 
 
 def _layernorm(x: np.ndarray):

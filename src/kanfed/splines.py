@@ -8,6 +8,16 @@ an arbitrary leading shape. The recursion runs basis-first, on (n, N) arrays
 over the N inputs; results come back in the x.shape + (n,) layout as
 transposed views, which `basis_from_lower` and `derivative_from_lower` read
 back without a copy.
+
+In grid units u, the step to degree d builds basis j from bases j and
+j + 1 of degree d - 1 as ((u - j) B_j + (j + d + 1 - u) B_j+1) / d. The
+differences do not depend on d, so a call takes them once, as the tables
+W_j = u - j and V_j = j - u, and the step to degree d reads W_j and
+V_j+d+1. A step then costs two products, a sum and a division, where it
+took seven operations. The tables hold the same float subtractions as the
+per-step form: j + d + 1 is an exact integer in float64, and V is not -W,
+which would turn the +0.0 of u == j into -0.0. So every basis value is the
+same IEEE result, bit for bit (tests/test_splines.py::TestHoistedDifferences).
 """
 
 from __future__ import annotations
@@ -59,36 +69,44 @@ def _public(b: np.ndarray, shape: tuple) -> np.ndarray:
     return b.T.reshape(shape + (len(b),))
 
 
-def _cox_de_boor_step(u: np.ndarray, lower: np.ndarray, d: int) -> np.ndarray:
-    """Degree-(d-1) basis -> degree-d basis, one row fewer; both (n, N).
+def _raise_degree(u: np.ndarray, b: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Cox-de Boor steps to degrees first..last from the (n, N) basis b of
+    degree first - 1; each step leaves one row fewer.
 
-    The knots are uniform, t_j = t_0 + j*h, so in grid units u the recursion
-    coefficients reduce to (u - j)/d and (j + d + 1 - u)/d. Basis index j
-    runs down a column and the inputs along each row, so every inner loop is
-    N long rather than n.
+    The step to degree d reads W_j = u - j and V_j+d+1 = j + d + 1 - u for
+    its n output rows j. As d rises by one n falls by one, so every step
+    reads V up to the same last row, and one table of each serves them all.
+    So that few arrays are alive at once, products go into rows no later
+    step reads: before the last step the second product into b's own (so b
+    is overwritten when first < last), in the last step both into the
+    tables'. Basis index j runs down a column and the inputs along each
+    row, so every inner loop is N long rather than n.
     """
-    j = np.arange(len(lower) - 1)[:, None]
-    return ((u - j) * lower[:-1] + (j + d + 1 - u) * lower[1:]) / d
+    n = len(b) - 1
+    j = np.arange(first + 1 + n, dtype=np.float64)[:, None]
+    w, v = u - j[:n], j[first + 1 :] - u  # v[k] is V_first+1+k
+    for d in range(first, last + 1):
+        n, k = len(b) - 1, d - first
+        if d < last:
+            raised = w[:n] * b[:-1]
+            right = np.multiply(v[k : k + n], b[1:], out=b[1:])
+        else:
+            raised, right = w[:n], v[k : k + n]
+            raised *= b[:-1]
+            right *= b[1:]
+        raised += right
+        raised /= d
+        b = raised
+    return b
 
 
 def _basis_of_degree(x: np.ndarray, grid: SplineGrid, degree: int) -> np.ndarray:
     """All B-spline basis functions of `degree` on the grid, stacked last axis."""
     u = _grid_units(x, grid)
-    j0 = np.arange(len(grid.knots) - 1)[:, None]
-    b = ((u >= j0) & (u < j0 + 1)).astype(np.float64)
-    for d in range(1, degree + 1):
-        b = _cox_de_boor_step(u, b, d)
-    return _public(b, np.shape(x))
-
-
-def bspline_basis(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
-    """Degree-`order` basis values; output shape = x.shape + (grid.n_basis,).
-
-    Inputs outside the grid range are allowed: bases vanish outside their
-    support, so rows may sum to less than one there. Strictly inside the
-    range the values form a partition of unity.
-    """
-    return _basis_of_degree(x, grid, grid.order)
+    # degree 0: B_j = [j <= u < j + 1] = [floor(u) == j], exactly, NaN and inf included
+    j0 = np.arange(len(grid.knots) - 1, dtype=np.float64)[:, None]
+    b = (np.floor(u) == j0).astype(np.float64)
+    return _public(_raise_degree(u, b, 1, degree), np.shape(x))
 
 
 def bspline_basis_lower(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
@@ -98,7 +116,7 @@ def bspline_basis_lower(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
 
 def basis_from_lower(x: np.ndarray, grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
     """One Cox-de Boor step: degree-(order-1) basis -> degree-order basis."""
-    b = _cox_de_boor_step(_grid_units(x, grid), _basis_first(lower), grid.order)
+    b = _raise_degree(_grid_units(x, grid), _basis_first(lower), grid.order, grid.order)
     return _public(b, lower.shape[:-1])
 
 
@@ -108,7 +126,3 @@ def derivative_from_lower(grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
     b = _basis_first(lower)
     return _public((b[:-1] - b[1:]) / h, lower.shape[:-1])
 
-
-def bspline_basis_derivative(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
-    """d/dx of each basis function, via the degree-lowering recursion."""
-    return derivative_from_lower(grid, bspline_basis_lower(x, grid))

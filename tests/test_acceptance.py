@@ -41,11 +41,11 @@ from kanfed.models import (
     param_count,
 )
 from kanfed.numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
-from kanfed.splines import SplineGrid, bspline_basis, bspline_basis_derivative
+from kanfed.splines import SplineGrid
 from kanfed.stats import bootstrap_ratio_ci, welch_one_sided
 
 from conftest import make_synth_dataset, rel_err
-from test_splines import deboor_oracle
+from test_splines import bspline_basis, bspline_basis_derivative, deboor_oracle
 from test_models import fd_input_grad, fd_param_grad
 from test_federation import full_partition
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 
@@ -19,7 +20,7 @@ from kanfed.federation import (
     server_step,
 )
 from kanfed.metrics import evaluate
-from kanfed.models import ModelConfig, backward, forward, init_params
+from kanfed.models import ModelConfig, backward, default_config, forward, init_params
 from kanfed.numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
 
 from conftest import make_synth_dataset
@@ -122,6 +123,28 @@ class TestLocalTrain:
         local_train(state, part, train, cfg, RngStream(8))
         assert len(buffers) == 6 and buffers[0] is not None
         assert all(b is buffers[0] for b in buffers)
+
+    def test_previous_step_freed_before_next_forward(self):
+        # one Spline-KAN client of 640 samples at the reference widths; its
+        # peak is the params, velocity and gradient buffer plus one step
+        train = normalize(make_synth_dataset(640, 41))
+        state = init_params(default_config("spline_kan"), RngStream(3))
+        tracemalloc.start()
+        try:
+            local_train(state, full_partition(train), train, FederationConfig(), RngStream(4))
+            peak = tracemalloc.get_traced_memory()[1]
+            grads = np.empty_like(state.params)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            logits, cache = forward(state, train.model_inputs[:64])
+            _, gl = softmax_cross_entropy(logits, train.labels[:64])
+            backward(state, cache, gl, out=grads)
+            step = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a previous step's cache alive would add its layer-0 basis (3.2 MB)
+        excess = peak - step - 3 * state.params.nbytes
+        assert excess < cache["layers"][0]["basis"].nbytes / 2
 
     def test_train_stats_average_last_epoch_only(self, small_data, monkeypatch):
         train, _ = small_data

@@ -19,9 +19,10 @@ from kanfed.models import (
     init_params,
     param_count,
 )
-from kanfed.numerics import RngStream, silu, softmax_cross_entropy
+from kanfed.numerics import RngStream, silu, silu_backward, softmax_cross_entropy
 
 from conftest import rel_err
+from test_splines import bspline_basis, seven_op_from_lower, seven_op_derivative, seven_op_lower
 
 
 def small_config(kind, widths=(6, 3, 2)):
@@ -144,8 +145,6 @@ class TestInit:
         state = init_params(cfg, RngStream(11))
         x = RngStream(12).gen.uniform(-1, 1, (64, 10))
         grid = cfg.spline_grid()
-        from kanfed.splines import bspline_basis
-
         wb = state.view("l0.base_weight")
         ws = state.view("l0.spline_weight")
         sc = state.view("l0.spline_scaler")
@@ -458,3 +457,67 @@ class TestRbfKernel:
         assert any(not np.isfinite(b).all() for b in old) == overflows
         for a, b in zip(new, old):
             assert np.array_equal(np.isfinite(a), np.isfinite(b))
+
+
+def _oracle_spline_forward(cfg, p, x, codes, last):
+    """The Spline-KAN layer as it was with np.sum over the basis axis and
+    the 7-op recursion: the byte-exact oracle."""
+    ws, sc = p["spline_weight"], p["spline_scaler"]
+    bsz, i = x.shape
+    o, _, c = ws.shape
+    grid = cfg.spline_grid()
+    if codes is None:
+        lower = seven_op_lower(x, grid)
+        act, bas = silu(x), seven_op_from_lower(x, grid, lower)
+    else:
+        bas_table = seven_op_from_lower(PIXEL_LEVELS, grid, seven_op_lower(PIXEL_LEVELS, grid))
+        lower, act, bas = None, silu(PIXEL_LEVELS).take(codes), bas_table.take(codes, axis=0)
+    ws_scaled = ws * sc[:, :, None]
+    y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
+    return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
+
+
+def _oracle_spline_backward(cfg, p, cache, g, grad, need_input):
+    x, bas = cache["x"], cache["basis"]
+    ws, sc = p["spline_weight"], p["spline_scaler"]
+    bsz, i = x.shape
+    o, _, c = ws.shape
+    np.matmul(g.T, cache["silu"], out=grad["base_weight"])
+    gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
+    np.multiply(gw, sc[:, :, None], out=grad["spline_weight"])
+    gw *= ws
+    np.sum(gw, axis=2, out=grad["spline_scaler"])
+    if not need_input:
+        return None
+    ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
+    t = (g @ ws_scaled).reshape(bsz, i, c)
+    dbas = seven_op_derivative(cfg.spline_grid(), cache["lower"])
+    return g @ p["base_weight"] * silu_backward(x) + (t * dbas).sum(axis=2)
+
+
+class TestSplineKernel:
+    """The Spline-KAN layer against the oracle copy above, byte for byte."""
+
+    @pytest.mark.parametrize("codes", [True, False])
+    @pytest.mark.parametrize("batch", [64, 512])
+    def test_reference_config(self, monkeypatch, batch, codes):
+        state = init_params(default_config(KIND_SPLINE), RngStream(90))
+        x = RngStream(91).gen.integers(0, 256, (batch, 784)).astype(np.uint8)
+        x[:, :100] = 0  # background pixels: their basis columns hold exact zeros
+        gl = RngStream(92).gen.normal(size=(batch, 10))
+        out = []
+        for spec in (models.LAYER_SPECS[KIND_SPLINE],
+                     models.LayerSpec(models._spline_shapes, models._spline_init,
+                                      _oracle_spline_forward, _oracle_spline_backward)):
+            monkeypatch.setitem(models.LAYER_SPECS, KIND_SPLINE, spec)
+            logits, cache = forward(state, x if codes else PIXEL_LEVELS[x])
+            out.append((logits, *backward(state, cache, gl)))
+        (logits, grad, gx), (old_logits, old_grad, old_gx) = out
+        assert logits.tobytes() == old_logits.tobytes()
+        assert grad.tobytes() == old_grad.tobytes()
+        assert (gx is None) == (old_gx is None) == codes
+        if not codes:
+            assert gx.tobytes() == old_gx.tobytes()
+        # the zero gradients of the background pixels carry both signs
+        zeros = grad[grad == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()

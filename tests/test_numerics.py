@@ -12,6 +12,7 @@ from kanfed.numerics import (
     silu,
     silu_backward,
     softmax_cross_entropy,
+    sum_last_axis,
 )
 
 
@@ -141,3 +142,40 @@ class TestSgdMomentum:
         assert np.array_equal(bits(params), bits(want_p))
         assert np.array_equal(bits(velocity), bits(want_v))
         assert np.array_equal(bits(grads), bits(grads0))
+
+
+class TestSumLastAxis:
+    """sum_last_axis against np.sum, the oracle, byte for byte."""
+
+    @staticmethod
+    def rows(n, gen):
+        # Which of two NaNs with different bits an addition returns depends on
+        # the operand order numpy's compiler chose, so no row mixes them.
+        # The program's own NaNs all come from inf - inf, inf * 0 or the
+        # like, and on one machine those all have the same bits.
+        a = gen.normal(size=(14, n)) * gen.choice([1e-300, 1.0, 1e300], size=(14, n))
+        a[0] = -0.0
+        a[1] = 0.0
+        a[1, ::2] = -0.0
+        a[2:8] = gen.choice([0.0, -0.0, 1.0, -1.0], size=(6, n))
+        a[8, n // 2] = np.inf
+        a[9, 0], a[9, -1] = np.inf, -np.inf  # NaN from inf - inf
+        a[10] = 1e308  # overflows
+        a[11, -1] = np.nan
+        a[12] = np.inf - np.inf  # x86's default NaN, sign bit set
+        a[13, ::2] = -np.inf
+        return a
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n", list(range(1, 21)) + [64, 127, 128, 129])
+    def test_bytes_match_np_sum(self, n):
+        a = self.rows(n, RngStream(70 + n).gen)
+        assert sum_last_axis(a).tobytes() == np.sum(a, axis=-1).tobytes()
+        # any leading shape; the input is left as it was
+        cube = a.reshape(2, 7, n)
+        before = cube.tobytes()
+        got = sum_last_axis(cube)
+        assert got.shape == (2, 7)
+        assert got.tobytes() == np.sum(cube, axis=-1).tobytes()
+        assert cube.tobytes() == before

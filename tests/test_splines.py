@@ -7,11 +7,19 @@ from kanfed.numerics import RngStream
 from kanfed.splines import (
     SplineGrid,
     basis_from_lower,
-    bspline_basis,
-    bspline_basis_derivative,
     bspline_basis_lower,
     derivative_from_lower,
 )
+
+
+def bspline_basis(x, grid):
+    """Degree-`order` basis values, shape x.shape + (grid.n_basis,)."""
+    return basis_from_lower(x, grid, bspline_basis_lower(x, grid))
+
+
+def bspline_basis_derivative(x, grid):
+    """d/dx of each degree-`order` basis function."""
+    return derivative_from_lower(grid, bspline_basis_lower(x, grid))
 
 
 def deboor_oracle(j, k, x, t):
@@ -168,3 +176,64 @@ class TestBasisFirstLayout:
             out.append((logits, *backward(state, cache, g)))
         for a, b in zip(*out):
             assert np.array_equal(a, b)
+
+
+# today's basis-first recursion before the differences were hoisted: every
+# step takes u - j and j + d + 1 - u afresh, in 7 operations
+def _seven_op_units(x, grid):
+    t = grid.knots
+    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0])).reshape(1, -1)
+
+
+def _seven_op_step(u, lower, d):
+    j = np.arange(len(lower) - 1)[:, None]
+    return ((u - j) * lower[:-1] + (j + d + 1 - u) * lower[1:]) / d
+
+
+def seven_op_lower(x, grid):
+    u = _seven_op_units(x, grid)
+    j0 = np.arange(len(grid.knots) - 1)[:, None]
+    b = ((u >= j0) & (u < j0 + 1)).astype(np.float64)
+    for d in range(1, grid.order):
+        b = _seven_op_step(u, b, d)
+    return b.T.reshape(np.shape(x) + (len(b),))
+
+
+def seven_op_from_lower(x, grid, lower):
+    b = lower.reshape(-1, lower.shape[-1]).T
+    b = _seven_op_step(_seven_op_units(x, grid), b, grid.order)
+    return b.T.reshape(lower.shape[:-1] + (len(b),))
+
+
+def seven_op_derivative(grid, lower):
+    b = lower.reshape(-1, lower.shape[-1]).T
+    b = (b[:-1] - b[1:]) / (grid.knots[1] - grid.knots[0])
+    return b.T.reshape(lower.shape[:-1] + (len(b),))
+
+
+class TestHoistedDifferences:
+    """The recursion on the hoisted W/V tables against the 7-op step, byte for
+    byte: tobytes() tells a -0.0 from a +0.0 and one NaN from another."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(64, 24), (5, 784), (11,)])
+    @pytest.mark.parametrize("grid_size,order", [(5, 3), (3, 2), (4, 1)])
+    def test_bytes_match_seven_op_step(self, shape, grid_size, order):
+        grid = SplineGrid(grid_size, order)
+        x = TestBasisFirstLayout.inputs(shape, 80 + order, grid)
+        # every knot and its negation, just inside and outside each end, and
+        # far outside: on a knot one of the two differences is exactly zero
+        flat = x.reshape(-1)
+        edges = [grid.knots[0] - 1e-12, grid.knots[-1] + 1e-12, -np.inf, np.inf, np.nan, -0.0]
+        extra = list(-grid.knots) + edges
+        flat[-len(extra):] = extra[-flat.size:]
+        lower, old_lower = bspline_basis_lower(x, grid), seven_op_lower(x, grid)
+        assert lower.shape == old_lower.shape
+        assert lower.tobytes() == np.ascontiguousarray(old_lower).tobytes()
+        value = basis_from_lower(x, grid, lower)
+        old_value = seven_op_from_lower(x, grid, old_lower)
+        assert value.tobytes() == np.ascontiguousarray(old_value).tobytes()
+        deriv = derivative_from_lower(grid, lower)
+        old_deriv = seven_op_derivative(grid, old_lower)
+        assert deriv.tobytes() == np.ascontiguousarray(old_deriv).tobytes()
+        assert np.isnan(value).any()  # inf * 0 in both recursions
