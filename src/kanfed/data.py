@@ -20,7 +20,7 @@ import hashlib
 import json
 import struct
 import urllib.request
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,16 +70,8 @@ class CodeImages:
     def nbytes(self) -> int:
         return self.codes.nbytes
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def __getitem__(self, key):
         return PIXEL_LEVELS[self.codes[key]]
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("decoding pixel codes always makes a copy")
-        return np.asarray(PIXEL_LEVELS[self.codes], dtype=dtype)
 
 
 @dataclass
@@ -123,7 +115,8 @@ def _open_maybe_gz(path: Path):
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
-    """Parse a big-endian IDX image/label file pair into a Dataset."""
+    """Parse a big-endian IDX image/label file pair into a Dataset; a pair
+    with no images is a DataError, since nothing could train or evaluate on it."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     with _open_maybe_gz(images_path) as f:
         head = f.read(16)
@@ -154,27 +147,19 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         raise DataError(
             f"image/label count mismatch: {n} images vs {n_labels} labels"
         )
-    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
+    if n == 0:
+        raise DataError(f"{images_path}: holds no images")
+    if labels.max() >= N_CLASSES:
         raise DataError(f"label out of range [0, {N_CLASSES}): max={labels.max()}")
     return Dataset(images=pixels, labels=labels, split=split)
 
 
 def _pixel_codes(ds: Dataset) -> np.ndarray:
-    """The dataset's raw pixels as uint8 codes; DataError unless each is an
-    integer value in [0, 255]."""
+    """The dataset's raw pixels, which must be uint8 codes; else DataError."""
     pixels = np.asarray(ds.images)
-    if pixels.dtype == np.uint8:
-        return pixels
-    numeric = pixels.dtype.kind in "iuf"
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the comparison below
-        codes = pixels.astype(np.uint8) if numeric else None
-    if codes is None or not np.array_equal(codes, pixels):
-        found = f" in [{pixels.min()}, {pixels.max()}]" if numeric else ""
-        raise DataError(
-            f"{ds.split} pixels must be uint8 codes or integer values in [0, 255], "
-            f"got {pixels.dtype}{found}"
-        )
-    return codes
+    if pixels.dtype != np.uint8:
+        raise DataError(f"{ds.split} pixels must be uint8 codes, got {pixels.dtype}")
+    return pixels
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> None:

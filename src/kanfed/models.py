@@ -20,11 +20,11 @@ which training and evaluation pass a normalized `Dataset`'s `codes`. A code
 c stands for the input value `data.PIXEL_LEVELS[c]`, so layer 0 only ever
 sees 256 distinct values and reads them from 256-row tables: the MLP and
 the RBF-KAN read `PIXEL_LEVELS[codes]`, and the Spline-KAN reads silu and
-its 8 cubic basis values per code from tables built once per grid by the
-same `silu`, `bspline_basis_lower` and `basis_from_lower` (read-only,
-cached). Each value is the same float64 result the float path computes, so
-logits and parameter gradients are bit-identical to those of the float
-input `PIXEL_LEVELS[codes]`. A code has no gradient: for code input
+its 8 cubic basis values per code from read-only tables built once, at
+import, by the same `silu`, `bspline_basis_lower` and `basis_from_lower`.
+Each value is the same float64 result the float path computes, so logits
+and parameter gradients are bit-identical to those of the float input
+`PIXEL_LEVELS[codes]`. A code has no gradient: for code input
 `backward` skips the layer-0 input gradient and returns None in its place.
 
 Layer equations
@@ -36,6 +36,11 @@ Spline-KAN layer: y = silu(x) @ Wb.T + B(x) @ (scaler * Ws).T
 RBF-KAN layer:    z = layernorm(x); phi_j(z) = exp(-((z - c_j)/h)^2) over 8
                   fixed centers; y = phi(z) @ Wr.T + x @ Wa.T + b  (base
                   path is a plain affine map on the un-normalized input).
+
+Each KAN has one fixed basis, the paper's: `SPLINE_GRID`, grid 5 and order
+3 on [-1, 1] (Liu et al., arXiv 2404.19756), and `RBF_CENTERS`, 8 Gaussian
+centers on [-2, 2] with bandwidth `RBF_BANDWIDTH`, their spacing (FastKAN,
+Li, arXiv 2405.06721).
 
 The Spline-KAN's sums over the 8 basis values of each edge, the scaler
 gradient sum_k dL/dWs_k Ws_k and the input gradient sum_k t_k B'_k, go
@@ -62,7 +67,6 @@ largest entry (tests/test_models.py::TestRbfKernel).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -91,16 +95,27 @@ REFERENCE_WIDTHS = {KIND_MLP: MLP_WIDTHS, KIND_SPLINE: KAN_WIDTHS, KIND_RBF: KAN
 
 _LN_EPS = 1e-12  # float64; keeps normalized variance exact to ~1e-12
 
+# the two KAN bases (see the module docstring)
+SPLINE_GRID = SplineGrid()
+RBF_CENTERS = np.linspace(-2.0, 2.0, 8)
+RBF_BANDWIDTH = float(RBF_CENTERS[-1] - RBF_CENTERS[0]) / (len(RBF_CENTERS) - 1)
+
+# layer 0's tables of the 256 pixel codes: silu (256,) and the cubic basis (256, 8)
+_SPLINE_SILU = silu(PIXEL_LEVELS)
+_SPLINE_BASIS = basis_from_lower(PIXEL_LEVELS, SPLINE_GRID,
+                                 bspline_basis_lower(PIXEL_LEVELS, SPLINE_GRID))
+# the center operands of the RBF-KAN's two BLAS products over the centers c:
+# [[1/h, ...], [-c/h, ...]] (2, 8) and [1, c] (8, 2)
+_RBF_TO_U = np.stack([np.full_like(RBF_CENTERS, 1.0 / RBF_BANDWIDTH), -RBF_CENTERS / RBF_BANDWIDTH])
+_RBF_TO_S = np.stack([np.ones_like(RBF_CENTERS), RBF_CENTERS], axis=1)
+for _shared in (RBF_CENTERS, _SPLINE_SILU, _SPLINE_BASIS, _RBF_TO_U, _RBF_TO_S):
+    _shared.flags.writeable = False  # read by every caller
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
     layer_widths: tuple[int, ...]
-    grid_size: int = 5
-    spline_order: int = 3
-    grid_range: tuple[float, float] = (-1.0, 1.0)
-    num_centers: int = 8
-    rbf_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -111,21 +126,6 @@ class ModelConfig:
     @property
     def n_layers(self) -> int:
         return len(self.layer_widths) - 1
-
-    def spline_grid(self) -> SplineGrid:
-        return _spline_grid(self.grid_size, self.spline_order, *self.grid_range)
-
-    def rbf_centers(self) -> np.ndarray:
-        lo, hi = self.rbf_range
-        return np.linspace(lo, hi, self.num_centers)
-
-    def rbf_bandwidth(self) -> float:
-        lo, hi = self.rbf_range
-        return (hi - lo) / (self.num_centers - 1)
-
-
-# a SplineGrid is frozen and its knots read-only, so one per grid is shared
-_spline_grid = functools.lru_cache(maxsize=None)(SplineGrid)
 
 
 def default_config(kind: str) -> ModelConfig:
@@ -143,30 +143,30 @@ def default_config(kind: str) -> ModelConfig:
 
 
 class LayerSpec(NamedTuple):
-    shapes: Callable  # (cfg, i, o) -> [(name, shape), ...] in flat-vector order
-    init: Callable  # (cfg, gen, p, i, o) -> None; fills p in place
-    forward: Callable  # (cfg, p, x, codes, last) -> (y, cache)
-    backward: Callable  # (cfg, p, cache, g, grad, need_input) -> g_in or None; fills grad
+    shapes: Callable  # (i, o) -> [(name, shape), ...] in flat-vector order
+    init: Callable  # (gen, p, i, o) -> None; fills p in place
+    forward: Callable  # (p, x, codes, last) -> (y, cache)
+    backward: Callable  # (p, cache, g, grad, need_input) -> g_in or None; fills grad
 
 
-def _mlp_shapes(cfg, i, o):
+def _mlp_shapes(i, o):
     return [("weight", (o, i)), ("bias", (o,))]
 
 
-def _mlp_init(cfg, gen, p, i, o):
+def _mlp_init(gen, p, i, o):
     """Kaiming-uniform fan-in weights, zero bias."""
     bound = np.sqrt(6.0 / i)
     p["weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _mlp_forward(cfg, p, x, codes, last):
+def _mlp_forward(p, x, codes, last):
     pre = x @ p["weight"].T + p["bias"]
     if last:
         return pre, {"x": x}
     return relu(pre), {"x": x, "pre": pre}
 
 
-def _mlp_backward(cfg, p, cache, g, grad, need_input):
+def _mlp_backward(p, cache, g, grad, need_input):
     if "pre" in cache:
         g = g * relu_backward(cache["pre"])
     np.matmul(g.T, cache["x"], out=grad["weight"])
@@ -174,12 +174,12 @@ def _mlp_backward(cfg, p, cache, g, grad, need_input):
     return g @ p["weight"] if need_input else None
 
 
-def _spline_shapes(cfg, i, o):
-    c = cfg.grid_size + cfg.spline_order
+def _spline_shapes(i, o):
+    c = SPLINE_GRID.n_basis
     return [("base_weight", (o, i)), ("spline_weight", (o, i, c)), ("spline_scaler", (o, i))]
 
 
-def _spline_init(cfg, gen, p, i, o):
+def _spline_init(gen, p, i, o):
     """Uniform 1/sqrt(fan_in) base weights and scalers, small-noise coefficients."""
     bound = 1.0 / np.sqrt(i)
     ws = p["spline_weight"]
@@ -188,34 +188,21 @@ def _spline_init(cfg, gen, p, i, o):
     p["spline_scaler"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-@functools.lru_cache(maxsize=None)
-def _spline_code_tables(grid_size: int, order: int, lo: float, hi: float):
-    """silu and the degree-order basis of every pixel code: (256,), (256, n_basis)."""
-    grid = _spline_grid(grid_size, order, lo, hi)
-    act = silu(PIXEL_LEVELS)
-    bas = basis_from_lower(PIXEL_LEVELS, grid, bspline_basis_lower(PIXEL_LEVELS, grid))
-    act.flags.writeable = bas.flags.writeable = False  # shared by every caller
-    return act, bas
-
-
-def _spline_forward(cfg, p, x, codes, last):
+def _spline_forward(p, x, codes, last):
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
     if codes is None:
-        grid = cfg.spline_grid()
-        lower = bspline_basis_lower(x, grid)  # degree order-1, reused by backward
-        act, bas = silu(x), basis_from_lower(x, grid, lower)  # (b, i), (b, i, c)
+        lower = bspline_basis_lower(x, SPLINE_GRID)  # degree order-1, reused by backward
+        act, bas = silu(x), basis_from_lower(x, SPLINE_GRID, lower)  # (b, i), (b, i, c)
     else:
-        act_table, bas_table = _spline_code_tables(cfg.grid_size, cfg.spline_order,
-                                                   *cfg.grid_range)
-        lower, act, bas = None, act_table.take(codes), bas_table.take(codes, axis=0)
+        lower, act, bas = None, _SPLINE_SILU.take(codes), _SPLINE_BASIS.take(codes, axis=0)
     ws_scaled = ws * sc[:, :, None]
     y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
     return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
 
 
-def _spline_backward(cfg, p, cache, g, grad, need_input):
+def _spline_backward(p, cache, g, grad, need_input):
     x, bas = cache["x"], cache["basis"]
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
@@ -229,8 +216,7 @@ def _spline_backward(cfg, p, cache, g, grad, need_input):
         return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
     t = (g @ ws_scaled).reshape(bsz, i, c)
-    dbas = derivative_from_lower(cfg.spline_grid(), cache["lower"])
-    t *= dbas
+    t *= derivative_from_lower(SPLINE_GRID, cache["lower"])
     return g @ p["base_weight"] * silu_backward(x) + sum_last_axis(t)
 
 
@@ -242,46 +228,35 @@ def _layernorm(x: np.ndarray):
     return zhat, inv
 
 
-def _rbf_shapes(cfg, i, o):
-    k = cfg.num_centers
+def _rbf_shapes(i, o):
+    k = len(RBF_CENTERS)
     return [("ln_gain", (i,)), ("ln_bias", (i,)), ("rbf_weight", (o, i, k)),
             ("base_weight", (o, i)), ("base_bias", (o,))]
 
 
-def _rbf_init(cfg, gen, p, i, o):
+def _rbf_init(gen, p, i, o):
     """Clipped-normal weights at 1/sqrt(fan_in*centers) scale, uniform base
     weights, zero biases, layernorm gain 1 / bias 0."""
     p["ln_gain"][:] = 1.0
-    scale = 1.0 / np.sqrt(i * cfg.num_centers)
-    raw = gen.normal(0.0, scale, (o, i, cfg.num_centers))
+    k = len(RBF_CENTERS)
+    scale = 1.0 / np.sqrt(i * k)
+    raw = gen.normal(0.0, scale, (o, i, k))
     p["rbf_weight"][:] = np.clip(raw, -2 * scale, 2 * scale)
     bound = 1.0 / np.sqrt(i)
     p["base_weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-@functools.lru_cache(maxsize=None)
-def _rbf_operands(cfg: ModelConfig):
-    """h and the center operands of the two BLAS products over the k centers c:
-    [[1/h, ...], [-c/h, ...]] (2, k) and [1, c] (k, 2) (read-only, cached)."""
-    c, h = cfg.rbf_centers(), cfg.rbf_bandwidth()
-    fwd = np.stack([np.full(len(c), 1.0 / h), -c / h])
-    bwd = np.stack([np.ones(len(c)), c], axis=1)
-    fwd.flags.writeable = bwd.flags.writeable = False  # shared by every caller
-    return h, fwd, bwd
-
-
-def _rbf_forward(cfg, p, x, codes, last):
+def _rbf_forward(p, x, codes, last):
     wr = p["rbf_weight"]
     bsz, i = x.shape
     o, _, k = wr.shape
     zhat, inv = _layernorm(x)
     z = zhat * p["ln_gain"] + p["ln_bias"]
-    _, to_u, _ = _rbf_operands(cfg)
     # u = z/h - c/h for every center: one (b*i, 2) @ (2, k) product, then phi in place
     zs = np.empty((bsz * i, 2))
     zs[:, 0] = z.ravel()
     zs[:, 1] = 1.0
-    phi = zs @ to_u
+    phi = zs @ _RBF_TO_U
     np.square(phi, out=phi)
     np.negative(phi, out=phi)
     np.exp(phi, out=phi)
@@ -290,12 +265,11 @@ def _rbf_forward(cfg, p, x, codes, last):
     return y, {"x": x, "zhat": zhat, "inv": inv, "z": z, "phi": phi}
 
 
-def _rbf_backward(cfg, p, cache, g, grad, need_input):
+def _rbf_backward(p, cache, g, grad, need_input):
     x, zhat, inv, z, phi = (cache[k] for k in ("x", "zhat", "inv", "z", "phi"))
     wr = p["rbf_weight"]
     bsz, i = x.shape
     o, _, k = wr.shape
-    h, _, to_s = _rbf_operands(cfg)
     np.matmul(g.T, phi, out=grad["rbf_weight"].reshape(o, i * k))
     np.matmul(g.T, x, out=grad["base_weight"])
     np.sum(g, axis=0, out=grad["base_bias"])
@@ -303,8 +277,8 @@ def _rbf_backward(cfg, p, cache, g, grad, need_input):
     t *= phi
     # dphi_k/dz = -2 (z - c_k)/h^2 phi_k, so dz = -2/h^2 (z s0 - s1) with
     # s0 = sum_k t phi_k and s1 = sum_k t phi_k c_k: one (b*i, k) @ (k, 2) product
-    s0, s1 = (t.reshape(-1, k) @ to_s).T.reshape(2, bsz, i)
-    dz = (-2.0 / h**2) * (z * s0 - s1)
+    s0, s1 = (t.reshape(-1, k) @ _RBF_TO_S).T.reshape(2, bsz, i)
+    dz = (-2.0 / RBF_BANDWIDTH**2) * (z * s0 - s1)
     np.sum(dz * zhat, axis=0, out=grad["ln_gain"])
     np.sum(dz, axis=0, out=grad["ln_bias"])
     if not need_input:
@@ -337,7 +311,7 @@ def build_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int]]:
     offset = 0
     widths = config.layer_widths
     for l, (i, o) in enumerate(zip(widths[:-1], widths[1:])):
-        for name, shape in spec.shapes(config, i, o):
+        for name, shape in spec.shapes(i, o):
             layout.append((f"l{l}.{name}", tuple(shape), offset))
             offset += math.prod(shape)
     return layout
@@ -351,28 +325,24 @@ def param_count(config: ModelConfig) -> int:
 class ModelState:
     """Architecture descriptor plus flat parameter vector.
 
-    `params` is the single source of truth; `view(name)` returns a reshaped
-    view into it, so in-place updates of `params` are visible through views.
+    `params` is the single source of truth; `layer_views(l)` returns reshaped
+    views into it, so in-place updates of `params` are visible through them.
     """
 
     config: ModelConfig
     params: np.ndarray
 
     def __post_init__(self):
-        self.layout = build_layout(self.config)
+        layout = build_layout(self.config)
         expected = param_count(self.config)
         if self.params.shape != (expected,):
             raise InternalError(
                 f"params length {self.params.shape} != expected ({expected},)"
             )
         self._layers = [[] for _ in range(self.config.n_layers)]
-        for name, shape, off in self.layout:
+        for name, shape, off in layout:
             layer, short = name.split(".", 1)
             self._layers[int(layer[1:])].append((short, shape, off))
-
-    def view(self, name: str) -> np.ndarray:
-        layer, short = name.split(".", 1)
-        return self.layer_views(int(layer[1:]))[short]
 
     def layer_views(self, l: int, flat: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Layer l's tensors by short name, as views into `flat` (default: params)."""
@@ -393,7 +363,7 @@ def init_params(config: ModelConfig, rng: RngStream) -> ModelState:
     gen = rng.child("init", config.kind).gen
     widths = config.layer_widths
     for l, (i, o) in enumerate(zip(widths[:-1], widths[1:])):
-        spec.init(config, gen, state.layer_views(l), i, o)
+        spec.init(gen, state.layer_views(l), i, o)
     return state
 
 
@@ -413,7 +383,7 @@ def forward(state: ModelState, batch: np.ndarray):
     x = batch if codes is None else PIXEL_LEVELS.take(codes)
     layers = []
     for l in range(cfg.n_layers):
-        x, cache = spec.forward(cfg, state.layer_views(l), x, codes if l == 0 else None,
+        x, cache = spec.forward(state.layer_views(l), x, codes if l == 0 else None,
                                 l == cfg.n_layers - 1)
         layers.append(cache)
     return x, {"params": state.params, "layers": layers, "codes": codes is not None}
@@ -424,7 +394,7 @@ def backward(state: ModelState, cache: dict, grad_logits: np.ndarray,
     """Gradient of the (already reduced) loss w.r.t. all parameters and input.
 
     `grad_logits` is dL/dlogits from the loss; returns (flat_param_grad,
-    grad_input) with the flat gradient aligned with state.layout. The flat
+    grad_input) with the flat gradient laid out as `build_layout` says. The flat
     gradient is written into `out` when given, overwriting every entry, and
     `out` itself is returned; else into a new vector. grad_input is None
     when the batch was pixel codes. The cache must come from `forward` on
@@ -439,6 +409,6 @@ def backward(state: ModelState, cache: dict, grad_logits: np.ndarray,
     flat = np.empty_like(state.params) if out is None else out
     g = grad_logits
     for l in range(cfg.n_layers - 1, -1, -1):
-        g = spec.backward(cfg, state.layer_views(l), cache["layers"][l], g,
+        g = spec.backward(state.layer_views(l), cache["layers"][l], g,
                           state.layer_views(l, flat), l > 0 or not cache["codes"])
     return flat, g

@@ -2,7 +2,9 @@
 
 Everything here works on float64 numpy arrays and is bit-deterministic:
 identical inputs give identical outputs on every run with the same numpy/BLAS
-build. Matrices are plain 2-D ``np.ndarray`` with dtype float64, row-major.
+build and the same number of BLAS threads (OpenBLAS splits a matrix product
+differently on 1 and on 2 threads). Matrices are plain 2-D ``np.ndarray``
+with dtype float64, row-major.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ class RngStream:
     def child(self, *labels: str) -> "RngStream":
         """Derive an independent substream labelled by `labels`."""
         return RngStream(self.seed, self.path + tuple(str(l) for l in labels))
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, path={self.path!r})"
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """B-spline basis evaluation on an extended uniform knot vector.
 
-The grid covers `grid_range` with `grid_size` uniform intervals, extended by
+The grid covers [lo, hi] with `grid_size` uniform intervals, extended by
 `order` extra knots on each side, so a degree-`order` basis has exactly
 grid_size + order functions per scalar input (8 for the default grid 5 /
 order 3 setup). Evaluation uses the Cox-de Boor recursion, vectorized over

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -225,8 +226,6 @@ def report_tables(groups: dict[str, list[TrialSummary]], rng: RngStream) -> Repo
 
 
 def write_report_csv(report: Report, out_dir) -> None:
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -26,7 +26,7 @@ def make_synth_dataset(n, seed, n_classes=10, side=28):
         0,
         255,
     )
-    return Dataset(images=np.round(imgs).astype(np.float64), labels=labels)
+    return Dataset(images=np.round(imgs).astype(np.uint8), labels=labels)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import gzip
 import json
+import struct
 
 import pytest
 
@@ -200,6 +201,23 @@ class TestRun:
             "--data-dir", str(tmp_path / "none"), "--out-dir", str(tmp_path / "o"),
         )
         assert code == 2
+
+    def test_empty_test_split_exit_2(self, synth_idx_dir, tmp_path, capsys):
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+            (data_dir / name).write_bytes((synth_idx_dir / name).read_bytes())
+        (data_dir / "t10k-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 0x803, 0, 28, 28))
+        (data_dir / "t10k-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, 0))
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(data_dir), "--out-dir", str(out_dir),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and "t10k-images-idx3-ubyte: holds no images" in err
+        assert not out_dir.exists()  # refused before any trial ran
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, dump):

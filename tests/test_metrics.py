@@ -64,8 +64,8 @@ class TestEvaluate:
         # identity-ish model: one weight row per class picks a distinctive pixel
         cfg = ModelConfig(kind="mlp", layer_widths=(10, 10, 10))
         state = ModelState(cfg, np.zeros(param_count(cfg)))
-        state.view("l0.weight")[:] = np.eye(10) * 100.0
-        state.view("l1.weight")[:] = np.eye(10)
+        state.layer_views(0)["weight"][:] = np.eye(10) * 100.0
+        state.layer_views(1)["weight"][:] = np.eye(10)
         labels = np.arange(10)
         images = np.eye(10)
         acc, _ = evaluate(state, Dataset(images=images, labels=labels))

@@ -73,9 +73,9 @@ class TestParamCount:
             if kind == KIND_MLP:
                 expected += i * o + o
             elif kind == KIND_SPLINE:
-                expected += i * o * (cfg.grid_size + cfg.spline_order) + 2 * i * o
+                expected += i * o * models.SPLINE_GRID.n_basis + 2 * i * o
             else:
-                expected += 2 * i + cfg.num_centers * i * o + i * o + o
+                expected += 2 * i + len(models.RBF_CENTERS) * i * o + i * o + o
         assert param_count(cfg) == expected
 
     # perfbench/checks.py::unflatten reads the flat vector in exactly this
@@ -144,35 +144,37 @@ class TestInit:
         cfg = small_config(KIND_SPLINE, (10, 8, 4))
         state = init_params(cfg, RngStream(11))
         x = RngStream(12).gen.uniform(-1, 1, (64, 10))
-        grid = cfg.spline_grid()
-        wb = state.view("l0.base_weight")
-        ws = state.view("l0.spline_weight")
-        sc = state.view("l0.spline_scaler")
+        p = state.layer_views(0)
+        wb, ws, sc = p["base_weight"], p["spline_weight"], p["spline_scaler"]
         base = silu(x) @ wb.T
-        bas = bspline_basis(x, grid)
+        bas = bspline_basis(x, models.SPLINE_GRID)
         scaled = (ws * sc[:, :, None]).reshape(8, -1)
         spline = bas.reshape(64, -1) @ scaled.T
         assert np.abs(spline).mean() < np.abs(base).mean()
 
 
 class TestLayerConstants:
-    """Grids and center operands are built once per setting and shared read-only."""
+    """Each KAN's fixed basis, and the tables and operands built from it once."""
 
-    def test_spline_grid_shared(self):
-        a = default_config(KIND_SPLINE).spline_grid()
-        b = small_config(KIND_SPLINE).spline_grid()
-        assert a is b and not a.knots.flags.writeable
-        assert ModelConfig(kind=KIND_SPLINE, layer_widths=(6, 2), grid_size=3).spline_grid() is not a
+    def test_spline_grid(self):
+        knots = models.SPLINE_GRID.knots
+        assert np.array_equal(knots, -1 + 0.4 * (np.arange(12) - 3))
+        assert models.SPLINE_GRID.n_basis == 8 and not knots.flags.writeable
+
+    def test_rbf_centers_and_bandwidth(self):
+        assert np.array_equal(models.RBF_CENTERS, np.linspace(-2, 2, 8))
+        assert models.RBF_BANDWIDTH.hex() == (4.0 / 7).hex()
 
     def test_rbf_operands(self):
-        cfg = default_config(KIND_RBF)
-        h, fwd, bwd = models._rbf_operands(cfg)
-        assert models._rbf_operands(cfg)[1] is fwd
-        c = cfg.rbf_centers()
-        assert h == cfg.rbf_bandwidth()
-        assert np.array_equal(fwd, np.stack([np.full(8, 1.0 / h), -c / h]))
-        assert np.array_equal(bwd, np.stack([np.ones(8), c], axis=1))
-        assert not fwd.flags.writeable and not bwd.flags.writeable
+        c, h = models.RBF_CENTERS, models.RBF_BANDWIDTH
+        assert np.array_equal(models._RBF_TO_U, np.stack([np.full(8, 1.0 / h), -c / h]))
+        assert np.array_equal(models._RBF_TO_S, np.stack([np.ones(8), c], axis=1))
+
+    def test_read_only(self):
+        assert models._SPLINE_SILU.shape == (256,) and models._SPLINE_BASIS.shape == (256, 8)
+        for shared in (models.RBF_CENTERS, models._SPLINE_SILU, models._SPLINE_BASIS,
+                       models._RBF_TO_U, models._RBF_TO_S):
+            assert not shared.flags.writeable
 
 
 class TestForward:
@@ -188,10 +190,11 @@ class TestForward:
     def test_mlp_single_hidden_unit_hand_example(self):
         cfg = ModelConfig(kind=KIND_MLP, layer_widths=(1, 1, 1))
         state = ModelState(cfg, np.zeros(param_count(cfg)))
-        state.view("l0.weight")[:] = 2.0
-        state.view("l0.bias")[:] = -1.0
-        state.view("l1.weight")[:] = 3.0
-        state.view("l1.bias")[:] = 0.5
+        l0, l1 = state.layer_views(0), state.layer_views(1)
+        l0["weight"][:] = 2.0
+        l0["bias"][:] = -1.0
+        l1["weight"][:] = 3.0
+        l1["bias"][:] = 0.5
         logits, _ = forward(state, np.array([[2.0]]))
         # relu(2*2 - 1) * 3 + 0.5 = 9.5
         assert abs(logits[0, 0] - 9.5) < 1e-15
@@ -201,14 +204,14 @@ class TestForward:
     def test_spline_zero_weights_equals_silu_linear(self):
         cfg = small_config(KIND_SPLINE, (5, 4, 3))
         state = init_params(cfg, RngStream(2))
-        state.view("l0.spline_weight")[:] = 0.0
-        state.view("l0.spline_scaler")[:] = 0.0
-        state.view("l1.spline_weight")[:] = 0.0
-        state.view("l1.spline_scaler")[:] = 0.0
+        l0, l1 = state.layer_views(0), state.layer_views(1)
+        for p in (l0, l1):
+            p["spline_weight"][:] = 0.0
+            p["spline_scaler"][:] = 0.0
         x = RngStream(3).gen.uniform(-1, 1, (6, 5))
         logits, _ = forward(state, x)
-        h = silu(x) @ state.view("l0.base_weight").T
-        oracle = silu(h) @ state.view("l1.base_weight").T
+        h = silu(x) @ l0["base_weight"].T
+        oracle = silu(h) @ l1["base_weight"].T
         assert np.abs(logits - oracle).max() < 1e-12
 
     def test_rows_independent(self):
@@ -241,15 +244,15 @@ class TestForward:
     def test_rbf_center_hit_gives_unit_activation(self):
         cfg = small_config(KIND_RBF, (4, 3, 2))
         state = init_params(cfg, RngStream(10))
-        centers = cfg.rbf_centers()
+        centers = models.RBF_CENTERS
         # gain 0 makes z = ln_bias exactly, here the third center for every input
-        state.view("l0.ln_gain")[:] = 0.0
-        state.view("l0.ln_bias")[:] = centers[2]
+        state.layer_views(0)["ln_gain"][:] = 0.0
+        state.layer_views(0)["ln_bias"][:] = centers[2]
         _, cache = forward(state, RngStream(11).gen.uniform(-1, 1, (3, 4)))
-        phi = cache["layers"][0]["phi"].reshape(3, 4, cfg.num_centers)
+        phi = cache["layers"][0]["phi"].reshape(3, 4, 8)
         # phi is exp(-((z - c)/h)^2): exactly 1 when z equals the center
         assert np.all(phi[:, :, 2] == 1.0)
-        others = np.exp(-(((centers[2] - np.delete(centers, 2)) / cfg.rbf_bandwidth()) ** 2))
+        others = np.exp(-(((centers[2] - np.delete(centers, 2)) / models.RBF_BANDWIDTH) ** 2))
         assert np.abs(np.delete(phi, 2, axis=2) - others).max() < 1e-15
 
 
@@ -363,27 +366,26 @@ class TestPixelCodes:
         assert gxc is None and gxf.shape == (batch, 784)
 
     def test_every_code_on_another_grid(self):
-        cfg = ModelConfig(kind=KIND_SPLINE, layer_widths=(256, 4, 3), grid_size=3,
-                          grid_range=(-0.5, 2.0))
-        state = init_params(cfg, RngStream(43))
+        """All 256 codes, on the fixed grid; codes 207-255 fall outside its support."""
+        state = init_params(ModelConfig(kind=KIND_SPLINE, layer_widths=(256, 4, 3)), RngStream(43))
         codes = np.stack([np.arange(256, dtype=np.uint8), np.arange(256)[::-1].astype(np.uint8)])
         (lc, gc, gxc), (lf, gf, _) = self.both_paths(state, codes, 44)
         assert np.array_equal(lc, lf) and np.array_equal(gc, gf) and gxc is None
 
 
-def _broadcast_rbf_forward(cfg, p, x, codes, last):
+def _broadcast_rbf_forward(p, x, codes, last):
     """The RBF-KAN layer with u broadcast over (batch, in, centers): the oracle."""
     wr = p["rbf_weight"]
     bsz, o = x.shape[0], wr.shape[0]
     zhat, inv = models._layernorm(x)
     z = zhat * p["ln_gain"] + p["ln_bias"]
-    u = (z[:, :, None] - cfg.rbf_centers()) / cfg.rbf_bandwidth()
+    u = (z[:, :, None] - models.RBF_CENTERS) / models.RBF_BANDWIDTH
     phi = np.exp(-(u**2))
     y = phi.reshape(bsz, -1) @ wr.reshape(o, -1).T + x @ p["base_weight"].T + p["base_bias"]
     return y, {"x": x, "zhat": zhat, "inv": inv, "phi": phi, "u": u}
 
 
-def _broadcast_rbf_backward(cfg, p, cache, g, grad, need_input):
+def _broadcast_rbf_backward(p, cache, g, grad, need_input):
     x, zhat, inv, phi, u = (cache[k] for k in ("x", "zhat", "inv", "phi", "u"))
     wr = p["rbf_weight"]
     bsz, i = x.shape
@@ -392,7 +394,7 @@ def _broadcast_rbf_backward(cfg, p, cache, g, grad, need_input):
     grad["base_weight"][:] = g.T @ x
     grad["base_bias"][:] = g.sum(axis=0)
     t = (g @ wr.reshape(o, -1)).reshape(bsz, i, -1)
-    dz = (t * phi * (-2.0 * u / cfg.rbf_bandwidth())).sum(axis=2)
+    dz = (t * phi * (-2.0 * u / models.RBF_BANDWIDTH)).sum(axis=2)
     grad["ln_gain"][:] = (dz * zhat).sum(axis=0)
     grad["ln_bias"][:] = dz.sum(axis=0)
     if not need_input:
@@ -438,11 +440,9 @@ class TestRbfKernel:
         assert (new[2] is None) == codes
         self.assert_close(new, old)
 
-    # 7 centers on [-2, 2] put one exactly at 0
-    @pytest.mark.parametrize("centers", [8, 5, 7])
-    def test_small_configs(self, monkeypatch, centers):
-        cfg = ModelConfig(kind=KIND_RBF, layer_widths=(784, 8, 6, 10), num_centers=centers)
-        assert (0.0 in cfg.rbf_centers()) == (centers % 2 == 1)
+    @pytest.mark.parametrize("hidden", [8])
+    def test_small_configs(self, monkeypatch, hidden):
+        cfg = ModelConfig(kind=KIND_RBF, layer_widths=(784, hidden, 6, 10))
         state = init_params(cfg, RngStream(53))
         x = RngStream(54).gen.uniform(-1, 3, (64, 784))
         self.assert_close(*self.both_kernels(state, x, 55, monkeypatch))
@@ -459,13 +459,13 @@ class TestRbfKernel:
             assert np.array_equal(np.isfinite(a), np.isfinite(b))
 
 
-def _oracle_spline_forward(cfg, p, x, codes, last):
+def _oracle_spline_forward(p, x, codes, last):
     """The Spline-KAN layer as it was with np.sum over the basis axis and
     the 7-op recursion: the byte-exact oracle."""
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
-    grid = cfg.spline_grid()
+    grid = models.SPLINE_GRID
     if codes is None:
         lower = seven_op_lower(x, grid)
         act, bas = silu(x), seven_op_from_lower(x, grid, lower)
@@ -477,7 +477,7 @@ def _oracle_spline_forward(cfg, p, x, codes, last):
     return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
 
 
-def _oracle_spline_backward(cfg, p, cache, g, grad, need_input):
+def _oracle_spline_backward(p, cache, g, grad, need_input):
     x, bas = cache["x"], cache["basis"]
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
@@ -491,7 +491,7 @@ def _oracle_spline_backward(cfg, p, cache, g, grad, need_input):
         return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
     t = (g @ ws_scaled).reshape(bsz, i, c)
-    dbas = seven_op_derivative(cfg.spline_grid(), cache["lower"])
+    dbas = seven_op_derivative(models.SPLINE_GRID, cache["lower"])
     return g @ p["base_weight"] * silu_backward(x) + (t * dbas).sum(axis=2)
 
 
