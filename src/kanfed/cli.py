@@ -141,7 +141,7 @@ def cmd_run(args) -> int:
             )
             metrics.write_logs(trial, log_path)
             manifest["completed"].append(name)
-            metrics.write_atomic(manifest_path, lambda f: json.dump(manifest, f, indent=2))
+            datamod.write_atomic(manifest_path, lambda f: json.dump(manifest, f, indent=2))
             last = trial.records[-1]
             print(
                 f"done {name}: round {last.round} test_acc={last.test_acc:.4f} "

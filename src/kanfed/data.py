@@ -1,5 +1,13 @@
 """MNIST loading, normalization and the pathological non-IID partitioner.
 
+Loading reads one form of the data: the four raw IDX files, which
+`fetch_mnist` unpacks from the verified archives. `load_idx` maps an image
+file read-only instead of copying it, so a split's pixels are a view of the
+file's page cache. A mapped file must never be rewritten in place while a
+run reads it; every IDX file this module writes goes to a temp file that
+then replaces the old one (`write_atomic`), and a live mapping keeps the
+old bytes.
+
 A normalized dataset holds only its uint8 pixel codes. Its `images` is a
 read-only `CodeImages` view that decodes the rows asked for to their float64
 normalized values on access, so no full-size float copy of a split is built.
@@ -18,6 +26,9 @@ import csv
 import gzip
 import hashlib
 import json
+import mmap
+import os
+import shutil
 import struct
 import urllib.request
 from dataclasses import dataclass, replace
@@ -41,7 +52,7 @@ PIXEL_LEVELS.flags.writeable = False
 
 DEFAULT_MIRROR = "https://ossci-datasets.s3.amazonaws.com/mnist/"
 MNIST_FILES = {
-    # filename -> md5 of the gzipped file
+    # archive name -> md5 of the gzipped file; the raw IDX file drops the .gz
     "train-images-idx3-ubyte.gz": "f68b3c2dcbeaaa9fbdd348bbdeb94873",
     "train-labels-idx1-ubyte.gz": "d53e105ee54ea40749a09fcbcd1e9432",
     "t10k-images-idx3-ubyte.gz": "9fb629c4189551a2d022fa330f9573f3",
@@ -108,50 +119,74 @@ class ClientPartition:
         return len(self.indices)
 
 
-def _open_maybe_gz(path: Path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def write_atomic(path, write, mode: str = "w") -> None:
+    """Call write(f) on a temp file beside `path`, opened with `mode`, then
+    rename it over `path`.
+
+    Readers see the old file or the new one, never part of one, and a reader
+    that maps the old file keeps its bytes. The temp name ends in .tmp, so
+    `metrics.scan_logs` never reads it, and it is removed on failure.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as f:
+            write(f)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse a big-endian IDX image/label file pair into a Dataset; a pair
-    with no images is a DataError, since nothing could train or evaluate on it."""
+    with no images is a DataError, since nothing could train or evaluate on it.
+
+    The pixels are a read-only uint8 view of the image file, mapped rather
+    than copied; the file must be replaced, never rewritten in place, while
+    the Dataset lives (see the module docstring). The labels are read.
+    """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    with _open_maybe_gz(images_path) as f:
+    with open(images_path, "rb") as f:
         head = f.read(16)
         if len(head) < 16:
             raise DataError(f"{images_path}: truncated header at byte {len(head)}")
         magic, n, rows, cols = struct.unpack(">IIII", head)
         if magic != IDX_MAGIC_IMAGES:
             raise DataError(f"{images_path}: bad magic 0x{magic:08x} at byte 0")
-        body = f.read(n * rows * cols)
-        if len(body) < n * rows * cols:
+        n_pixels = n * rows * cols
+        size = os.fstat(f.fileno()).st_size
+        if size < 16 + n_pixels:
             raise DataError(
-                f"{images_path}: truncated at byte {16 + len(body)}, "
-                f"expected {16 + n * rows * cols}"
+                f"{images_path}: truncated at byte {size}, expected {16 + n_pixels}"
             )
-        pixels = np.frombuffer(body, dtype=np.uint8).reshape(n, rows * cols)
-    with _open_maybe_gz(labels_path) as f:
+        labels = _read_labels(labels_path)
+        if n != len(labels):
+            raise DataError(
+                f"image/label count mismatch: {n} images vs {len(labels)} labels"
+            )
+        if n == 0:
+            raise DataError(f"{images_path}: holds no images")
+        if labels.max() >= N_CLASSES:
+            raise DataError(f"label out of range [0, {N_CLASSES}): max={labels.max()}")
+        # mapped only now: mmap refuses an empty file with ValueError
+        view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    pixels = np.frombuffer(view, dtype=np.uint8, count=n_pixels, offset=16)
+    return Dataset(images=pixels.reshape(n, rows * cols), labels=labels, split=split)
+
+
+def _read_labels(path: Path) -> np.ndarray:
+    """The int64 labels of an IDX label file."""
+    with open(path, "rb") as f:
         head = f.read(8)
         if len(head) < 8:
-            raise DataError(f"{labels_path}: truncated header at byte {len(head)}")
+            raise DataError(f"{path}: truncated header at byte {len(head)}")
         magic, n_labels = struct.unpack(">II", head)
         if magic != IDX_MAGIC_LABELS:
-            raise DataError(f"{labels_path}: bad magic 0x{magic:08x} at byte 0")
+            raise DataError(f"{path}: bad magic 0x{magic:08x} at byte 0")
         body = f.read(n_labels)
-        if len(body) < n_labels:
-            raise DataError(f"{labels_path}: truncated at byte {8 + len(body)}")
-        labels = np.frombuffer(body, dtype=np.uint8).astype(np.int64)
-    if n != n_labels:
-        raise DataError(
-            f"image/label count mismatch: {n} images vs {n_labels} labels"
-        )
-    if n == 0:
-        raise DataError(f"{images_path}: holds no images")
-    if labels.max() >= N_CLASSES:
-        raise DataError(f"label out of range [0, {N_CLASSES}): max={labels.max()}")
-    return Dataset(images=pixels, labels=labels, split=split)
+    if len(body) < n_labels:
+        raise DataError(f"{path}: truncated at byte {8 + len(body)}")
+    return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
 
 def _pixel_codes(ds: Dataset) -> np.ndarray:
@@ -166,17 +201,17 @@ def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> Non
     """Write a Dataset back out as a raw IDX pair (fixtures, synthetic data).
 
     A normalized dataset writes its codes; otherwise the pixels must be codes.
+    Each file is replaced atomically, so a Dataset that maps the old file
+    keeps its bytes.
     """
     n = len(dataset)
     if dataset.images.shape[1] != side * side:
         raise ConfigurationError(f"images are not {side}x{side}")
     codes = dataset.codes if dataset.codes is not None else _pixel_codes(dataset)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, n, side, side))
-        f.write(codes.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_MAGIC_LABELS, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    write_atomic(images_path, lambda f: f.writelines(
+        [struct.pack(">IIII", IDX_MAGIC_IMAGES, n, side, side), codes.tobytes()]), "wb")
+    write_atomic(labels_path, lambda f: f.writelines(
+        [struct.pack(">II", IDX_MAGIC_LABELS, n), dataset.labels.astype(np.uint8).tobytes()]), "wb")
 
 
 def normalize(ds: Dataset) -> Dataset:
@@ -339,46 +374,57 @@ def write_partition_json(parts: list[ClientPartition], path) -> None:
 
 
 def fetch_mnist(dest_dir, base_url: str = DEFAULT_MIRROR) -> None:
-    """Download the four MNIST archives into dest_dir, verifying checksums."""
+    """Download the four MNIST archives into dest_dir, verify their checksums
+    and unpack each into the raw IDX file that `load_mnist` reads.
+
+    An archive already there with the right checksum is not downloaded again,
+    and a raw file already there is not rewritten.
+    """
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
     for name, md5 in MNIST_FILES.items():
-        target = dest / name
-        if target.exists() and hashlib.md5(target.read_bytes()).hexdigest() == md5:
-            continue
-        url = base_url.rstrip("/") + "/" + name
-        with urllib.request.urlopen(url) as r:
-            blob = r.read()
-        got = hashlib.md5(blob).hexdigest()
-        if got != md5:
-            raise DataError(f"{name}: checksum mismatch ({got} != {md5})")
-        target.write_bytes(blob)
+        archive = dest / name
+        if not (archive.exists() and hashlib.md5(archive.read_bytes()).hexdigest() == md5):
+            url = base_url.rstrip("/") + "/" + name
+            try:
+                with urllib.request.urlopen(url) as r:
+                    blob = r.read()
+            except OSError as e:
+                raise DataError(f"{url}: download failed ({e})") from e
+            got = hashlib.md5(blob).hexdigest()
+            if got != md5:
+                raise DataError(f"{name}: checksum mismatch ({got} != {md5})")
+            write_atomic(archive, lambda f: f.write(blob), "wb")
+        raw = archive.with_suffix("")
+        if not raw.exists():
+            with gzip.open(archive, "rb") as src:
+                write_atomic(raw, lambda f: shutil.copyfileobj(src, f), "wb")
 
 
 def find_mnist(data_dir) -> dict | None:
-    """Locate MNIST files (raw or gzipped) in data_dir; None if incomplete."""
+    """Locate the four raw MNIST IDX files in data_dir; None if any is missing."""
     data_dir = Path(data_dir)
-    out = {}
-    for key, stem in [
-        ("train_images", "train-images-idx3-ubyte"),
-        ("train_labels", "train-labels-idx1-ubyte"),
-        ("test_images", "t10k-images-idx3-ubyte"),
-        ("test_labels", "t10k-labels-idx1-ubyte"),
-    ]:
-        for cand in (data_dir / stem, data_dir / (stem + ".gz")):
-            if cand.exists():
-                out[key] = cand
-                break
-        else:
-            return None
-    return out
+    paths = {
+        key: data_dir / name
+        for key, name in [
+            ("train_images", "train-images-idx3-ubyte"),
+            ("train_labels", "train-labels-idx1-ubyte"),
+            ("test_images", "t10k-images-idx3-ubyte"),
+            ("test_labels", "t10k-labels-idx1-ubyte"),
+        ]
+    }
+    return paths if all(p.exists() for p in paths.values()) else None
 
 
 def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
     """Load and normalize the train and test splits from data_dir."""
     paths = find_mnist(data_dir)
     if paths is None:
-        raise DataError(f"MNIST files not found under {data_dir}")
+        raise DataError(
+            f"raw MNIST IDX files not found under {data_dir}; "
+            f"`kanfed fetch-data --data-dir {data_dir}` downloads them, "
+            "or unpacks the archives already there without downloading"
+        )
     train = normalize(load_idx(paths["train_images"], paths["train_labels"], "train"))
     test = normalize(load_idx(paths["test_images"], paths["test_labels"], "test"))
     return train, test

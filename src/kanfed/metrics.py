@@ -8,13 +8,12 @@ lossless for every numeric field.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_atomic
 from .errors import DataError, ReportError
 from .models import ModelState, forward
 from .numerics import per_sample_nll
@@ -64,22 +63,6 @@ def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[f
         correct += int((np.argmax(logits, axis=1) == labs).sum())
         loss_sum += float(per_sample_nll(logits, labs).sum())
     return correct / n, loss_sum / n
-
-
-def write_atomic(path, write) -> None:
-    """Call write(f) on a temp file beside `path`, then rename it over `path`.
-
-    Readers see the old file or the new one, never part of one. The temp name
-    ends in .tmp, so `scan_logs` never reads it, and it is removed on failure.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as f:
-            write(f)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 _ROUND_KEYS = tuple(f.name for f in fields(RoundRecord))

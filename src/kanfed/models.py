@@ -19,13 +19,14 @@ Pixel-code input
 which training and evaluation pass a normalized `Dataset`'s `codes`. A code
 c stands for the input value `data.PIXEL_LEVELS[c]`, so layer 0 only ever
 sees 256 distinct values and reads them from 256-row tables: the MLP and
-the RBF-KAN read `PIXEL_LEVELS[codes]`, and the Spline-KAN reads silu and
-its 8 cubic basis values per code from read-only tables built once, at
-import, by the same `silu`, `bspline_basis_lower` and `basis_from_lower`.
-Each value is the same float64 result the float path computes, so logits
-and parameter gradients are bit-identical to those of the float input
-`PIXEL_LEVELS[codes]`. A code has no gradient: for code input
-`backward` skips the layer-0 input gradient and returns None in its place.
+the RBF-KAN decode them to `PIXEL_LEVELS[codes]`, and the Spline-KAN never
+decodes them: it reads silu and its 8 cubic basis values per code from
+read-only tables built once, at import, by the same `silu`,
+`bspline_basis_lower` and `basis_from_lower`. Each value is the same
+float64 result the float path computes, so logits and parameter gradients
+are bit-identical to those of the float input `PIXEL_LEVELS[codes]`. A code
+has no gradient: for code input `backward` skips the layer-0 input gradient
+and returns None in its place.
 
 Layer equations
 ---------------
@@ -137,16 +138,23 @@ def default_config(kind: str) -> ModelConfig:
 # layer specs: p maps a tensor name to its view in the params, grad to its
 # view in the flat gradient; i and o are the layer's input and output widths.
 # A backward overwrites every entry of its grad views, whatever they held.
-# A forward gets the layer input x and, at layer 0 of a pixel-code batch, the
-# codes with x == PIXEL_LEVELS[codes] (else None). A backward returns the
-# input gradient only when need_input is true, else None.
+# A forward gets the layer input x: float64, or at layer 0 of a pixel-code
+# batch the uint8 codes themselves, which stand for PIXEL_LEVELS[x]. A layer
+# that reads floats decodes them (`_decoded`); the Spline-KAN reads its code
+# tables instead. A backward returns the input gradient only when need_input
+# is true, else None; it is false at layer 0 of a code batch.
 
 
 class LayerSpec(NamedTuple):
     shapes: Callable  # (i, o) -> [(name, shape), ...] in flat-vector order
     init: Callable  # (gen, p, i, o) -> None; fills p in place
-    forward: Callable  # (p, x, codes, last) -> (y, cache)
+    forward: Callable  # (p, x, last) -> (y, cache)
     backward: Callable  # (p, cache, g, grad, need_input) -> g_in or None; fills grad
+
+
+def _decoded(x):
+    """x as float input: pixel codes decoded to PIXEL_LEVELS, floats as they are."""
+    return PIXEL_LEVELS.take(x) if x.dtype == np.uint8 else x
 
 
 def _mlp_shapes(i, o):
@@ -159,7 +167,8 @@ def _mlp_init(gen, p, i, o):
     p["weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _mlp_forward(p, x, codes, last):
+def _mlp_forward(p, x, last):
+    x = _decoded(x)
     pre = x @ p["weight"].T + p["bias"]
     if last:
         return pre, {"x": x}
@@ -188,15 +197,15 @@ def _spline_init(gen, p, i, o):
     p["spline_scaler"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _spline_forward(p, x, codes, last):
+def _spline_forward(p, x, last):
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
-    if codes is None:
+    if x.dtype == np.uint8:
+        lower, act, bas = None, _SPLINE_SILU.take(x), _SPLINE_BASIS.take(x, axis=0)
+    else:
         lower = bspline_basis_lower(x, SPLINE_GRID)  # degree order-1, reused by backward
         act, bas = silu(x), basis_from_lower(x, SPLINE_GRID, lower)  # (b, i), (b, i, c)
-    else:
-        lower, act, bas = None, _SPLINE_SILU.take(codes), _SPLINE_BASIS.take(codes, axis=0)
     ws_scaled = ws * sc[:, :, None]
     y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
     return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
@@ -246,7 +255,8 @@ def _rbf_init(gen, p, i, o):
     p["base_weight"][:] = gen.uniform(-bound, bound, (o, i))
 
 
-def _rbf_forward(p, x, codes, last):
+def _rbf_forward(p, x, last):
+    x = _decoded(x)
     wr = p["rbf_weight"]
     bsz, i = x.shape
     o, _, k = wr.shape
@@ -379,14 +389,12 @@ def forward(state: ModelState, batch: np.ndarray):
             f"batch shape {batch.shape} incompatible with input width {cfg.layer_widths[0]}"
         )
     spec = LAYER_SPECS[cfg.kind]
-    codes = batch if batch.dtype == np.uint8 else None
-    x = batch if codes is None else PIXEL_LEVELS.take(codes)
+    x = batch
     layers = []
     for l in range(cfg.n_layers):
-        x, cache = spec.forward(state.layer_views(l), x, codes if l == 0 else None,
-                                l == cfg.n_layers - 1)
+        x, cache = spec.forward(state.layer_views(l), x, l == cfg.n_layers - 1)
         layers.append(cache)
-    return x, {"params": state.params, "layers": layers, "codes": codes is not None}
+    return x, {"params": state.params, "layers": layers, "codes": batch.dtype == np.uint8}
 
 
 def backward(state: ModelState, cache: dict, grad_logits: np.ndarray,

@@ -1,10 +1,12 @@
 import gzip
+import hashlib
 import json
+import shutil
 import struct
 
 import pytest
 
-from kanfed import cli
+from kanfed import cli, data
 from kanfed.cli import main
 from kanfed.config import (
     ExperimentConfig,
@@ -121,6 +123,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture()
+def synth_mirror(synth_idx_dir, tmp_path, monkeypatch):
+    """A directory of the gzipped synthetic IDX files and nothing else, under
+    the MNIST archive names; `data.MNIST_FILES` holds their md5s."""
+    mirror = tmp_path / "mirror"
+    mirror.mkdir()
+    md5s = {}
+    for name in data.MNIST_FILES:
+        blob = gzip.compress((synth_idx_dir / name.removesuffix(".gz")).read_bytes(), 1)
+        (mirror / name).write_bytes(blob)
+        md5s[name] = hashlib.md5(blob).hexdigest()
+    monkeypatch.setattr(data, "MNIST_FILES", md5s)
+    return mirror
+
+
 class TestRun:
     def test_dump_config_defaults(self, capsys):
         assert run_cli("run", "--dump-config", "--preset", "desk") == 0
@@ -201,6 +218,16 @@ class TestRun:
             "--data-dir", str(tmp_path / "none"), "--out-dir", str(tmp_path / "o"),
         )
         assert code == 2
+
+    def test_archives_only_data_dir_exit_2(self, synth_mirror, tmp_path, capsys):
+        code = run_cli(
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(synth_mirror), "--out-dir", str(tmp_path / "runs"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:")
+        assert f"kanfed fetch-data --data-dir {synth_mirror}" in err
 
     def test_empty_test_split_exit_2(self, synth_idx_dir, tmp_path, capsys):
         data_dir = tmp_path / "mnist"
@@ -306,3 +333,26 @@ class TestFetchData:
             "--mirror", mirror.as_uri(),
         )
         assert code == 2
+
+    def test_unpacks_raw_files_once(self, synth_idx_dir, synth_mirror, tmp_path):
+        data_dir = tmp_path / "data"
+        argv = ("fetch-data", "--data-dir", str(data_dir), "--mirror", synth_mirror.as_uri())
+        assert run_cli(*argv) == 0
+        raw = [name.removesuffix(".gz") for name in data.MNIST_FILES]
+        for name in raw:
+            assert (data_dir / name).read_bytes() == (synth_idx_dir / name).read_bytes()
+        train, test = data.load_mnist(data_dir)
+        assert len(train) == 6000 and len(test) == 1000
+        before = {name: (data_dir / name).stat() for name in raw}
+        shutil.rmtree(synth_mirror)  # the archives' checksums match, so nothing is downloaded
+        assert run_cli(*argv) == 0
+        for name in raw:
+            st = (data_dir / name).stat()
+            assert (st.st_ino, st.st_mtime_ns) == (before[name].st_ino, before[name].st_mtime_ns)
+
+    def test_unreachable_mirror_exit_2(self, tmp_path, capsys):
+        mirror = (tmp_path / "nonexistent").as_uri()
+        code = run_cli("fetch-data", "--data-dir", str(tmp_path / "data"), "--mirror", mirror)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and mirror in err

@@ -78,6 +78,38 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="truncated"):
             load_idx(bad, labs)
 
+    @pytest.mark.parametrize("head, message", [
+        (b"", "truncated header at byte 0"),
+        (struct.pack(">IIII", 0x803, 2, 28, 28), "truncated at byte 16, expected 1584"),
+    ], ids=["empty", "header only"])
+    def test_no_pixel_bytes(self, tmp_path, head, message):
+        bad = tmp_path / "bad"
+        bad.write_bytes(head)
+        _, labs = write_fixture_idx(tmp_path, [0] * 784, [1, 2])
+        with pytest.raises(DataError, match=message):
+            load_idx(bad, labs)
+
+    def test_pixels_map_the_file(self, tmp_path):
+        write_idx(make_synth_dataset(200, 5), tmp_path / "i", tmp_path / "l")
+        tracemalloc.start()
+        try:
+            codes = normalize(load_idx(tmp_path / "i", tmp_path / "l")).codes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < codes.nbytes / 4  # the pixels are not copied
+        assert not codes.flags.writeable and not codes.flags.owndata
+        assert codes.tobytes() == (tmp_path / "i").read_bytes()[16:]
+
+    def test_rewrite_leaves_loaded_codes(self, tmp_path):
+        paths = tmp_path / "i", tmp_path / "l"
+        write_idx(make_synth_dataset(20, 5), *paths)
+        old = paths[0].read_bytes()[16:]
+        ds = load_idx(*paths)
+        write_idx(make_synth_dataset(20, 6), *paths)  # same size: a rewrite in place would not fault
+        assert ds.images.tobytes() == old
+        assert load_idx(*paths).images.tobytes() == paths[0].read_bytes()[16:] != old
+
     def test_round_trip_through_write_idx(self, tmp_path):
         ds = make_synth_dataset(20, 5)
         write_idx(ds, tmp_path / "i", tmp_path / "l")

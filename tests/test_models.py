@@ -372,9 +372,25 @@ class TestPixelCodes:
         (lc, gc, gxc), (lf, gf, _) = self.both_paths(state, codes, 44)
         assert np.array_equal(lc, lf) and np.array_equal(gc, gf) and gxc is None
 
+    def test_spline_kan_never_decodes_codes(self, monkeypatch):
+        class NoTake(np.ndarray):
+            def take(self, *args, **kwargs):
+                raise AssertionError("pixel codes decoded")
 
-def _broadcast_rbf_forward(p, x, codes, last):
+        monkeypatch.setattr(models, "PIXEL_LEVELS", PIXEL_LEVELS.view(NoTake))
+        codes = RngStream(45).gen.integers(0, 256, (64, 784)).astype(np.uint8)
+        with pytest.raises(AssertionError, match="decoded"):
+            forward(init_params(default_config(KIND_MLP), RngStream(46)), codes)
+        state = init_params(default_config(KIND_SPLINE), RngStream(46))
+        logits, cache = forward(state, codes)
+        grad, gx = backward(state, cache, RngStream(47).gen.normal(size=(64, 10)))
+        assert np.isfinite(logits).all() and np.isfinite(grad).all() and gx is None
+
+
+def _broadcast_rbf_forward(p, x, last):
     """The RBF-KAN layer with u broadcast over (batch, in, centers): the oracle."""
+    if x.dtype == np.uint8:
+        x = PIXEL_LEVELS[x]
     wr = p["rbf_weight"]
     bsz, o = x.shape[0], wr.shape[0]
     zhat, inv = models._layernorm(x)
@@ -459,19 +475,20 @@ class TestRbfKernel:
             assert np.array_equal(np.isfinite(a), np.isfinite(b))
 
 
-def _oracle_spline_forward(p, x, codes, last):
+def _oracle_spline_forward(p, x, last):
     """The Spline-KAN layer as it was with np.sum over the basis axis and
-    the 7-op recursion: the byte-exact oracle."""
+    the 7-op recursion: the byte-exact oracle. At layer 0 of a code batch x
+    holds the codes, so the shapes are those of the codes."""
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
     grid = models.SPLINE_GRID
-    if codes is None:
+    if x.dtype == np.uint8:
+        bas_table = seven_op_from_lower(PIXEL_LEVELS, grid, seven_op_lower(PIXEL_LEVELS, grid))
+        lower, act, bas = None, silu(PIXEL_LEVELS).take(x), bas_table.take(x, axis=0)
+    else:
         lower = seven_op_lower(x, grid)
         act, bas = silu(x), seven_op_from_lower(x, grid, lower)
-    else:
-        bas_table = seven_op_from_lower(PIXEL_LEVELS, grid, seven_op_lower(PIXEL_LEVELS, grid))
-        lower, act, bas = None, silu(PIXEL_LEVELS).take(codes), bas_table.take(codes, axis=0)
     ws_scaled = ws * sc[:, :, None]
     y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
     return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
@@ -480,8 +497,8 @@ def _oracle_spline_forward(p, x, codes, last):
 def _oracle_spline_backward(p, cache, g, grad, need_input):
     x, bas = cache["x"], cache["basis"]
     ws, sc = p["spline_weight"], p["spline_scaler"]
-    bsz, i = x.shape
-    o, _, c = ws.shape
+    bsz, i, c = bas.shape
+    o = ws.shape[0]
     np.matmul(g.T, cache["silu"], out=grad["base_weight"])
     gw = (g.T @ bas.reshape(bsz, i * c)).reshape(o, i, c)
     np.multiply(gw, sc[:, :, None], out=grad["spline_weight"])
