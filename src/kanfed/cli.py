@@ -140,7 +140,8 @@ def cmd_run(args) -> int:
                 trial_id=f"{kind}:{idx}",
             )
             metrics.write_logs(trial, log_path)
-            manifest["completed"].append(name)
+            if name not in manifest["completed"]:  # a re-run of a trial whose log was removed
+                manifest["completed"].append(name)
             datamod.write_atomic(manifest_path, lambda f: json.dump(manifest, f, indent=2))
             last = trial.records[-1]
             print(

@@ -8,9 +8,10 @@ run reads it; every IDX file this module writes goes to a temp file that
 then replaces the old one (`write_atomic`), and a live mapping keeps the
 old bytes.
 
-A normalized dataset holds only its uint8 pixel codes. Its `images` is a
-read-only `CodeImages` view that decodes the rows asked for to their float64
-normalized values on access, so no full-size float copy of a split is built.
+A `Dataset` built from uint8 pixels holds only those codes. Its `images` is
+a read-only `CodeImages` view of them that decodes the rows asked for to
+their float64 normalized values on access, so no full-size float copy of a
+split is built.
 
 The partitioner sorts training indices by label, cuts the label pools into
 n_clients * k shards of jittered size, an equal number per label, and deals
@@ -31,7 +32,7 @@ import os
 import shutil
 import struct
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +43,12 @@ from .numerics import RngStream
 IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 N_CLASSES = 10  # the digits, and every model's output width
+SIDE = 28  # every image is SIDE x SIDE pixels
 
 # standard MNIST pixel statistics (after scaling to [0,1])
 MNIST_MEAN = 0.1307
 MNIST_STD = 0.3081
-# the normalized value of each pixel code 0..255, by the formula `normalize` uses
+# the normalized value of each pixel code 0..255: scaled to [0,1], then standardized
 PIXEL_LEVELS = (np.arange(256) / 255.0 - MNIST_MEAN) / MNIST_STD
 PIXEL_LEVELS.flags.writeable = False
 
@@ -89,16 +91,17 @@ class CodeImages:
 class Dataset:
     """A split's images and labels.
 
-    Before `normalize`, `images` holds the raw pixels and `codes` is None.
-    After it, `codes` holds the uint8 pixel codes and `images` is a
-    `CodeImages` view over them, which decodes rows to normalized float64
-    values on access.
+    uint8 `images` are pixel codes: they are wrapped, without a copy, in a
+    `CodeImages` view that decodes rows to normalized float64 values on
+    access. Float `images` are used as they are, as normalized model inputs.
     """
 
     images: np.ndarray | CodeImages  # (N, 784)
     labels: np.ndarray  # (N,) int64 in [0, 10)
-    split: str = "train"
-    codes: np.ndarray | None = None  # (N, 784) uint8 codes of normalized images, or None
+
+    def __post_init__(self):
+        if self.images.dtype == np.uint8:
+            self.images = CodeImages(self.images)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -106,7 +109,7 @@ class Dataset:
     @property
     def model_inputs(self) -> np.ndarray:
         """What training and evaluation feed the model: the codes, else the images."""
-        return self.images if self.codes is None else self.codes
+        return self.images.codes if isinstance(self.images, CodeImages) else self.images
 
 
 @dataclass
@@ -137,15 +140,15 @@ def write_atomic(path, write, mode: str = "w") -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse a big-endian IDX image/label file pair into a Dataset; a pair
-    with no images is a DataError, since nothing could train or evaluate on it.
+    with no images, or images that are not 28x28, is a DataError, since no
+    model could train or evaluate on it.
 
     The pixels are a read-only uint8 view of the image file, mapped rather
     than copied; the file must be replaced, never rewritten in place, while
     the Dataset lives (see the module docstring). The labels are read.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
         head = f.read(16)
         if len(head) < 16:
@@ -153,6 +156,8 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         magic, n, rows, cols = struct.unpack(">IIII", head)
         if magic != IDX_MAGIC_IMAGES:
             raise DataError(f"{images_path}: bad magic 0x{magic:08x} at byte 0")
+        if (rows, cols) != (SIDE, SIDE):
+            raise DataError(f"{images_path}: images are {rows}x{cols}, not {SIDE}x{SIDE}")
         n_pixels = n * rows * cols
         size = os.fstat(f.fileno()).st_size
         if size < 16 + n_pixels:
@@ -171,10 +176,10 @@ def load_idx(images_path, labels_path, split: str = "train") -> Dataset:
         # mapped only now: mmap refuses an empty file with ValueError
         view = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     pixels = np.frombuffer(view, dtype=np.uint8, count=n_pixels, offset=16)
-    return Dataset(images=pixels.reshape(n, rows * cols), labels=labels, split=split)
+    return Dataset(pixels.reshape(n, rows * cols), labels)
 
 
-def _read_labels(path: Path) -> np.ndarray:
+def _read_labels(path) -> np.ndarray:
     """The int64 labels of an IDX label file."""
     with open(path, "rb") as f:
         head = f.read(8)
@@ -189,42 +194,21 @@ def _read_labels(path: Path) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).astype(np.int64)
 
 
-def _pixel_codes(ds: Dataset) -> np.ndarray:
-    """The dataset's raw pixels, which must be uint8 codes; else DataError."""
-    pixels = np.asarray(ds.images)
-    if pixels.dtype != np.uint8:
-        raise DataError(f"{ds.split} pixels must be uint8 codes, got {pixels.dtype}")
-    return pixels
+def write_idx(dataset: Dataset, images_path, labels_path) -> None:
+    """Write a Dataset of pixel codes back out as a raw IDX pair (fixtures,
+    synthetic data); float images, or codes of other than 28x28 pixels, are
+    a DataError.
 
-
-def write_idx(dataset: Dataset, images_path, labels_path, side: int = 28) -> None:
-    """Write a Dataset back out as a raw IDX pair (fixtures, synthetic data).
-
-    A normalized dataset writes its codes; otherwise the pixels must be codes.
     Each file is replaced atomically, so a Dataset that maps the old file
     keeps its bytes.
     """
-    n = len(dataset)
-    if dataset.images.shape[1] != side * side:
-        raise ConfigurationError(f"images are not {side}x{side}")
-    codes = dataset.codes if dataset.codes is not None else _pixel_codes(dataset)
+    n, images = len(dataset), dataset.images
+    if not isinstance(images, CodeImages) or images.shape[1:] != (SIDE * SIDE,):
+        raise DataError(f"pixels must be uint8 codes of {SIDE}x{SIDE} images")
     write_atomic(images_path, lambda f: f.writelines(
-        [struct.pack(">IIII", IDX_MAGIC_IMAGES, n, side, side), codes.tobytes()]), "wb")
+        [struct.pack(">IIII", IDX_MAGIC_IMAGES, n, SIDE, SIDE), images.codes.tobytes()]), "wb")
     write_atomic(labels_path, lambda f: f.writelines(
         [struct.pack(">II", IDX_MAGIC_LABELS, n), dataset.labels.astype(np.uint8).tobytes()]), "wb")
-
-
-def normalize(ds: Dataset) -> Dataset:
-    """Scale pixels to [0,1] then standardize with the fixed MNIST constants.
-
-    The pixels must be codes (see `_pixel_codes`). They are kept as uint8
-    `codes`, and `images` becomes a `CodeImages` view that decodes them to
-    `PIXEL_LEVELS[codes]` on access.
-    """
-    if ds.codes is not None:
-        raise DataError("dataset is already normalized")
-    codes = _pixel_codes(ds)
-    return replace(ds, images=CodeImages(codes), codes=codes)
 
 
 def _jittered_shard_sizes(
@@ -401,23 +385,15 @@ def fetch_mnist(dest_dir, base_url: str = DEFAULT_MIRROR) -> None:
                 write_atomic(raw, lambda f: shutil.copyfileobj(src, f), "wb")
 
 
-def find_mnist(data_dir) -> dict | None:
-    """Locate the four raw MNIST IDX files in data_dir; None if any is missing."""
-    data_dir = Path(data_dir)
-    paths = {
-        key: data_dir / name
-        for key, name in [
-            ("train_images", "train-images-idx3-ubyte"),
-            ("train_labels", "train-labels-idx1-ubyte"),
-            ("test_images", "t10k-images-idx3-ubyte"),
-            ("test_labels", "t10k-labels-idx1-ubyte"),
-        ]
-    }
-    return paths if all(p.exists() for p in paths.values()) else None
+def find_mnist(data_dir) -> list[Path] | None:
+    """The four raw MNIST IDX files in data_dir, in `MNIST_FILES` order (train
+    images and labels, then test); None if any is missing."""
+    paths = [Path(data_dir) / name.removesuffix(".gz") for name in MNIST_FILES]
+    return paths if all(p.exists() for p in paths) else None
 
 
 def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
-    """Load and normalize the train and test splits from data_dir."""
+    """The train and test splits in data_dir, as pixel codes."""
     paths = find_mnist(data_dir)
     if paths is None:
         raise DataError(
@@ -425,6 +401,4 @@ def load_mnist(data_dir) -> tuple[Dataset, Dataset]:
             f"`kanfed fetch-data --data-dir {data_dir}` downloads them, "
             "or unpacks the archives already there without downloading"
         )
-    train = normalize(load_idx(paths["train_images"], paths["train_labels"], "train"))
-    test = normalize(load_idx(paths["test_images"], paths["test_labels"], "test"))
-    return train, test
+    return load_idx(*paths[:2]), load_idx(*paths[2:])

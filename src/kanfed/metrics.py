@@ -50,7 +50,7 @@ def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[f
     batch's losses in turn, so it agrees across batch sizes only to rounding
     and is bit-identical only at the same batch_size. Argmax ties break
     toward the lowest class index. Reads the pixel codes when the dataset
-    has them (bit-identical to reading its images).
+    is codes (bit-identical to reading its decoded images).
     """
     n = len(test)
     inputs = test.model_inputs

@@ -16,7 +16,7 @@ the caller may pass as `out`; every entry of it is overwritten.
 Pixel-code input
 ----------------
 `forward` takes either float64 inputs or uint8 pixel codes, the form in
-which training and evaluation pass a normalized `Dataset`'s `codes`. A code
+which training and evaluation pass a loaded `Dataset`'s `model_inputs`. A code
 c stands for the input value `data.PIXEL_LEVELS[c]`, so layer 0 only ever
 sees 256 distinct values and reads them from 256-row tables: the MLP and
 the RBF-KAN decode them to `PIXEL_LEVELS[codes]`, and the Spline-KAN never

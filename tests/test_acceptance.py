@@ -17,7 +17,6 @@ from kanfed.data import (
     check_partition,
     find_mnist,
     load_mnist,
-    normalize,
     pathological_partition,
 )
 from kanfed.federation import (
@@ -124,7 +123,7 @@ def test_criterion_4_partition_invariants(mnist_shaped_labels):
 
 
 def test_criterion_5_federated_equals_centralized():
-    train = normalize(make_synth_dataset(1000, 50))
+    train = make_synth_dataset(1000, 50)
     mc = ModelConfig(kind=KIND_MLP, layer_widths=(784, 16, 10))
     fed = FederationConfig(
         n_rounds=3, clients_per_round_fraction=1.0, local_epochs=2,

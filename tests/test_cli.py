@@ -19,6 +19,8 @@ from kanfed.errors import ConfigurationError
 from kanfed.federation import FederationConfig
 from kanfed.metrics import read_logs, scan_logs, strip_timing
 
+from conftest import make_synth_dataset
+
 
 class TestConfig:
     def test_defaults_match_experiment_settings(self):
@@ -164,6 +166,20 @@ class TestRun:
         assert "skip" in capsys.readouterr().out
         assert log.read_bytes() == before
 
+    def test_rerun_of_removed_log_listed_once(self, synth_idx_dir, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        args = (
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir), "--seed", "5",
+        )
+        assert run_cli(*args) == 0
+        (out_dir / "mlp_trial00.jsonl").unlink()
+        capsys.readouterr()
+        assert run_cli(*args) == 0
+        assert "done mlp_trial00.jsonl" in capsys.readouterr().out  # retrained, not skipped
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["completed"] == ["mlp_trial00.jsonl"]
+
     def test_resume_with_other_settings_refused(self, synth_idx_dir, tmp_path, capsys):
         out_dir = tmp_path / "runs"
         args = (
@@ -245,6 +261,26 @@ class TestRun:
         assert code == 2
         assert err.startswith("data error:") and "t10k-images-idx3-ubyte: holds no images" in err
         assert not out_dir.exists()  # refused before any trial ran
+
+    def test_non_28x28_images_exit_2(self, tmp_path, capsys):
+        # 32x32 sets big enough to partition, so only the image size is wrong
+        data_dir = tmp_path / "mnist"
+        data_dir.mkdir()
+        for n, seed, split in ((6000, 1, "train"), (1000, 2, "t10k")):
+            ds = make_synth_dataset(n, seed, side=32)
+            (data_dir / f"{split}-images-idx3-ubyte").write_bytes(
+                struct.pack(">IIII", 0x803, n, 32, 32) + ds.model_inputs.tobytes())
+            (data_dir / f"{split}-labels-idx1-ubyte").write_bytes(
+                struct.pack(">II", 0x801, n) + ds.labels.astype("u1").tobytes())
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(data_dir), "--out-dir", str(out_dir),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and "train-images-idx3-ubyte: images are 32x32" in err
+        assert not out_dir.exists()  # refused before any partition ran
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, dump):

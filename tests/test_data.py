@@ -13,7 +13,6 @@ from kanfed.data import (
     check_partition,
     load_idx,
     load_mnist,
-    normalize,
     partition_report,
     pathological_partition,
     write_idx,
@@ -45,9 +44,9 @@ class TestLoadIdx:
         imgs, labs = write_fixture_idx(tmp_path, pixels, [3, 9])
         ds = load_idx(imgs, labs)
         assert ds.images.shape == (2, 784)
-        assert ds.images.dtype == np.uint8 and ds.codes is None
-        assert np.all(ds.images[0] == 7.0)
-        assert np.all(ds.images[1] == 250.0)
+        assert ds.images.codes.dtype == np.uint8 and ds.model_inputs is ds.images.codes
+        assert np.all(ds.images.codes[0] == 7)
+        assert np.all(ds.images.codes[1] == 250)
         assert list(ds.labels) == [3, 9]
 
     def test_count_mismatch(self, tmp_path):
@@ -78,6 +77,14 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="truncated"):
             load_idx(bad, labs)
 
+    @pytest.mark.parametrize("rows, cols", [(32, 32), (28, 27), (784, 1)])
+    def test_other_image_sizes_rejected(self, tmp_path, rows, cols):
+        bad = tmp_path / "bad"
+        bad.write_bytes(struct.pack(">IIII", 0x803, 1, rows, cols) + bytes(rows * cols))
+        _, labs = write_fixture_idx(tmp_path, [0] * 784, [1])
+        with pytest.raises(DataError, match=f"bad: images are {rows}x{cols}, not 28x28"):
+            load_idx(bad, labs)
+
     @pytest.mark.parametrize("head, message", [
         (b"", "truncated header at byte 0"),
         (struct.pack(">IIII", 0x803, 2, 28, 28), "truncated at byte 16, expected 1584"),
@@ -93,7 +100,7 @@ class TestLoadIdx:
         write_idx(make_synth_dataset(200, 5), tmp_path / "i", tmp_path / "l")
         tracemalloc.start()
         try:
-            codes = normalize(load_idx(tmp_path / "i", tmp_path / "l")).codes
+            codes = load_idx(tmp_path / "i", tmp_path / "l").images.codes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -107,43 +114,37 @@ class TestLoadIdx:
         old = paths[0].read_bytes()[16:]
         ds = load_idx(*paths)
         write_idx(make_synth_dataset(20, 6), *paths)  # same size: a rewrite in place would not fault
-        assert ds.images.tobytes() == old
-        assert load_idx(*paths).images.tobytes() == paths[0].read_bytes()[16:] != old
+        assert ds.images.codes.tobytes() == old
+        assert load_idx(*paths).images.codes.tobytes() == paths[0].read_bytes()[16:] != old
 
     def test_round_trip_through_write_idx(self, tmp_path):
         ds = make_synth_dataset(20, 5)
         write_idx(ds, tmp_path / "i", tmp_path / "l")
         back = load_idx(tmp_path / "i", tmp_path / "l")
-        assert np.array_equal(back.images, ds.images)
+        assert np.array_equal(back.images.codes, ds.images.codes)
         assert np.array_equal(back.labels, ds.labels)
 
-    def test_normalized_round_trip_writes_codes(self, tmp_path):
-        ds = normalize(make_synth_dataset(20, 5))
-        write_idx(ds, tmp_path / "i", tmp_path / "l")
-        back = load_idx(tmp_path / "i", tmp_path / "l")
-        assert np.array_equal(back.images, ds.codes)
-
-    @pytest.mark.parametrize("bad", [256, -1, 0.5])
+    @pytest.mark.parametrize("bad", [256, -1, 0.5, np.nan, np.inf, "1"])
     def test_write_refuses_non_code_pixels(self, tmp_path, bad):
-        pixels = np.zeros((1, 784))
-        pixels[0, 3] = bad
+        pixels = np.array([[bad] + [0] * 783])  # int64, float64 or str: never codes
         with pytest.raises(DataError, match="uint8 codes"):
             write_idx(Dataset(pixels, np.array([0])), tmp_path / "i", tmp_path / "l")
+        assert not (tmp_path / "i").exists()
+
+    def test_write_refuses_other_image_sizes(self, tmp_path):
+        codes = Dataset(np.zeros((1, 32 * 32), dtype=np.uint8), np.array([0]))
+        with pytest.raises(DataError, match="uint8 codes of 28x28 images"):
+            write_idx(codes, tmp_path / "i", tmp_path / "l")
 
 
 class TestNormalize:
     def test_pixel_extremes(self):
-        ds = Dataset(images=np.array([[0, 255]], dtype=np.uint8), labels=np.array([0]))
-        out = normalize(ds)
+        out = Dataset(images=np.array([[0, 255]], dtype=np.uint8), labels=np.array([0]))
+        assert np.array_equal(out.images[0], PIXEL_LEVELS[[0, 255]])
         assert abs(out.images[0, 0] - (0 - 0.1307) / 0.3081) < 1e-12
         assert abs(out.images[0, 1] - (1 - 0.1307) / 0.3081) < 1e-12
         assert abs(out.images[0, 0] - (-0.4242)) < 1e-4
         assert abs(out.images[0, 1] - 2.8215) < 1e-4
-
-    def test_double_normalize_rejected(self):
-        ds = normalize(Dataset(images=np.zeros((1, 2), dtype=np.uint8), labels=np.array([0])))
-        with pytest.raises(DataError):
-            normalize(ds)
 
     def test_pixel_levels_bit_exact(self):
         codes = np.arange(256)
@@ -154,16 +155,11 @@ class TestNormalize:
     @pytest.mark.parametrize("dtype", [np.uint8])
     def test_keeps_codes(self, dtype):
         pixels = np.arange(256).reshape(4, 64).astype(dtype)
-        out = normalize(Dataset(images=pixels, labels=np.zeros(4, dtype=np.int64)))
-        assert out.codes.dtype == np.uint8 and np.array_equal(out.codes, pixels)
+        out = Dataset(pixels, np.zeros(4, dtype=np.int64))
+        assert out.images.codes is pixels and out.model_inputs is pixels  # not a copy
         assert out.images.dtype == np.float64
+        assert np.array_equal(out.images[:], PIXEL_LEVELS[pixels])
         assert np.array_equal(out.images[:], (pixels.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD)
-
-    @pytest.mark.parametrize("bad", [[[256, 0]], [[-1, 0]], [[0.5, 0]], [[np.nan, 0]],
-                                     [[np.inf, 0]], [["1", "0"]]])
-    def test_non_code_pixels_rejected(self, bad):
-        with pytest.raises(DataError, match="uint8 codes"):
-            normalize(Dataset(images=np.array(bad), labels=np.array([0])))
 
 
 # the partition of `mnist_shaped_labels` for 100 clients, 2 labels each, seed 0
@@ -272,7 +268,7 @@ class TestLoadMnistDir:
     def test_load_from_synth_dir(self, synth_idx_dir):
         train, test = load_mnist(synth_idx_dir)
         assert len(train) == 6000 and len(test) == 1000
-        assert train.codes is not None and test.codes is not None
+        assert train.model_inputs.dtype == test.model_inputs.dtype == np.uint8
 
     def test_holds_only_codes(self, synth_idx_dir):
         tracemalloc.start()
@@ -281,7 +277,7 @@ class TestLoadMnistDir:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        code_bytes = train.codes.nbytes + test.codes.nbytes
+        code_bytes = train.images.codes.nbytes + test.images.codes.nbytes
         assert train.images.nbytes + test.images.nbytes == code_bytes
         assert peak < 2 * code_bytes
 
@@ -293,7 +289,7 @@ class TestLoadMnistDir:
 class TestCodeImages:
     @pytest.fixture()
     def ds(self):
-        return normalize(make_synth_dataset(6, 3))
+        return make_synth_dataset(6, 3)
 
     @pytest.mark.parametrize("key", [
         3,
@@ -305,12 +301,12 @@ class TestCodeImages:
     ], ids=["int", "slice", "int array", "bool mask", "row col", "element"])
     def test_rows_decode_to_pixel_levels(self, ds, key):
         got = ds.images[key]
-        want = PIXEL_LEVELS[ds.codes][key]
+        want = PIXEL_LEVELS[ds.images.codes][key]
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_array_attributes(self, ds):
-        assert ds.images.shape == ds.codes.shape == (6, 784)
-        assert ds.images.dtype == np.float64 and ds.images.nbytes == ds.codes.nbytes
+        assert ds.images.shape == ds.images.codes.shape == (6, 784)
+        assert ds.images.dtype == np.float64 and ds.images.nbytes == ds.images.codes.nbytes
 
     def test_read_only(self, ds):
         with pytest.raises(TypeError):

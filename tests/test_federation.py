@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import binom
 
 from kanfed import federation
-from kanfed.data import ClientPartition, normalize, pathological_partition
+from kanfed.data import ClientPartition, pathological_partition
 from kanfed.errors import InternalError
 from kanfed.federation import (
     ClientUpdate,
@@ -28,8 +28,8 @@ from conftest import make_synth_dataset
 
 @pytest.fixture(scope="module")
 def small_data():
-    train = normalize(make_synth_dataset(600, 31))
-    test = normalize(make_synth_dataset(200, 32))
+    train = make_synth_dataset(600, 31)
+    test = make_synth_dataset(200, 32)
     return train, test
 
 
@@ -127,7 +127,7 @@ class TestLocalTrain:
     def test_previous_step_freed_before_next_forward(self):
         # one Spline-KAN client of 640 samples at the reference widths; its
         # peak is the params, velocity and gradient buffer plus one step
-        train = normalize(make_synth_dataset(640, 41))
+        train = make_synth_dataset(640, 41)
         state = init_params(default_config("spline_kan"), RngStream(3))
         tracemalloc.start()
         try:
@@ -302,19 +302,21 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("kind", ["mlp", "spline_kan", "rbf_kan"])
     def test_pixel_codes_match_float_images(self, small_data, kind):
-        # training and evaluation read the uint8 codes; dropping them forces the
-        # float path on the very same normalized images. Batch 8 takes enough
+        # training and evaluation read the uint8 codes; decoded float images force
+        # the float path on the very same normalized values. Batch 8 takes enough
         # steps that a one-ulp change to the silu or basis tables shows here, and
         # lr 0.02 keeps every model finite, so NaN records cannot hide a difference.
         train, test = small_data
-        assert train.codes is not None and test.codes is not None
+        floats = replace(train, images=train.images[:]), replace(test, images=test.images[:])
+        assert train.model_inputs.dtype == test.model_inputs.dtype == np.uint8
+        assert floats[0].model_inputs.dtype == floats[1].model_inputs.dtype == np.float64
         parts = pathological_partition(train, 10, 2, RngStream(15))
         fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.3,
                                batch_size=8, lr=0.02)
         cfg = ModelConfig(kind=kind, layer_widths=(784, 8, 6, 10))
         runs = [
             run_trial(cfg, fed, tr, te, parts, 16, kind)
-            for tr, te in ((train, test), (replace(train, codes=None), replace(test, codes=None)))
+            for tr, te in ((train, test), floats)
         ]
         assert all(np.isfinite(r.test_loss) for r in runs[0].records)
         records = [[repr({**asdict(r), "elapsed_s": None}) for r in run.records] for run in runs]

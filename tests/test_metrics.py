@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kanfed import cli
-from kanfed.data import Dataset, normalize
+from kanfed.data import Dataset
 from kanfed.errors import DataError, ReportError
 from kanfed.metrics import (
     RoundRecord,
@@ -72,7 +72,7 @@ class TestEvaluate:
         assert acc == 1.0
 
     def test_batch_size_invariance(self):
-        test = normalize(make_synth_dataset(500, 41))
+        test = make_synth_dataset(500, 41)
         state = init_params(ModelConfig(kind="spline_kan", layer_widths=(784, 8, 10)), RngStream(42))
         a = evaluate(state, test, batch_size=64)
         b = evaluate(state, test, batch_size=1000)
@@ -83,7 +83,7 @@ class TestEvaluate:
     def test_holds_one_batch_at_a_time(self, kind):
         # three 512-row batches: evaluate's peak is about one batch's forward,
         # not two, so each batch's cache is freed before the next forward
-        test = normalize(make_synth_dataset(1536, 43))
+        test = make_synth_dataset(1536, 43)
         state = init_params(default_config(kind), RngStream(44))
 
         def peak_bytes(call):
