@@ -124,6 +124,13 @@ class TestLoadIdx:
         assert np.array_equal(back.images.codes, ds.images.codes)
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_normalized_round_trip_writes_codes(self, tmp_path):
+        ds = make_synth_dataset(20, 5)
+        write_idx(ds, tmp_path / "i", tmp_path / "l")
+        assert (tmp_path / "i").read_bytes()[16:] == ds.images.codes.tobytes()
+        back = load_idx(tmp_path / "i", tmp_path / "l")
+        assert np.array_equal(back.images[:], ds.images[:])
+
     @pytest.mark.parametrize("bad", [256, -1, 0.5, np.nan, np.inf, "1"])
     def test_write_refuses_non_code_pixels(self, tmp_path, bad):
         pixels = np.array([[bad] + [0] * 783])  # int64, float64 or str: never codes
@@ -160,6 +167,14 @@ class TestNormalize:
         assert out.images.dtype == np.float64
         assert np.array_equal(out.images[:], PIXEL_LEVELS[pixels])
         assert np.array_equal(out.images[:], (pixels.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD)
+
+    @pytest.mark.parametrize("bad", [[[256, 0]], [[-1, 0]], [[0.5, 0]], [[np.nan, 0]],
+                                     [[np.inf, 0]], [["1", "0"]]])
+    def test_non_code_pixels_rejected(self, bad):
+        # only uint8 pixels are taken as codes: 256 or -1 is never wrapped into 0..255
+        pixels = np.array(bad)
+        ds = Dataset(pixels, np.array([0]))
+        assert ds.images is pixels and ds.model_inputs is pixels
 
 
 # the partition of `mnist_shaped_labels` for 100 clients, 2 labels each, seed 0
