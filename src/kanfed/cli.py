@@ -37,57 +37,61 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# the flags that several subcommands share; each declares only those it reads
+_SHARED_FLAGS = {
+    "--config": {"help": "config file with flat dotted keys"},
+    "--data-dir": {"help": "directory with the MNIST IDX files"},
+    "--out-dir": {"help": "output directory for logs and reports"},
+    "--seed": {"type": int, "help": "master seed"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="kanfed", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="config file with flat dotted keys")
-        sp.add_argument("--data-dir", help="directory with the MNIST IDX files")
-        sp.add_argument("--out-dir", help="output directory for logs and reports")
-        sp.add_argument("--seed", type=int, help="master seed")
+    def command(name, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(flag, **_SHARED_FLAGS[flag])
+        return sp
 
-    run = sub.add_parser("run", parents=[], help="run federated trials")
-    common(run)
+    run = command("run", "run federated trials", *_SHARED_FLAGS)
     run.add_argument("--models", help="comma-separated subset of mlp,spline_kan,rbf_kan")
     run.add_argument("--trials", type=int, help="trials per model")
     run.add_argument("--rounds", type=int, help="federated rounds per trial")
-    run.add_argument("--preset", choices=["desk"], help="desk = 3 trials, 30 rounds")
     run.add_argument("--parallel-clients", type=int, help="client threads per round")
     run.add_argument("--dump-config", action="store_true",
                      help="print the effective config and exit")
 
-    part = sub.add_parser("partition", help="write the client partition and a summary")
-    common(part)
+    command("partition", "write the client partition and a summary", *_SHARED_FLAGS)
 
-    rep = sub.add_parser("report", help="build result tables from trial logs")
-    common(rep)
+    rep = command("report", "build result tables from trial logs",
+                  "--config", "--out-dir", "--seed")
     rep.add_argument("log_dir", nargs="?", help="directory of *.jsonl trial logs")
 
-    fetch = sub.add_parser("fetch-data", help="download MNIST with checksum checks")
-    common(fetch)
+    fetch = command("fetch-data", "download MNIST with checksum checks", "--config", "--data-dir")
     fetch.add_argument("--mirror", default=datamod.DEFAULT_MIRROR)
     return p
 
 
 def _effective_config(args) -> cfgmod.ExperimentConfig:
+    flag = vars(args).get  # None where the subcommand lacks the flag
     cfg = cfgmod.load_config_file(args.config) if args.config else cfgmod.ExperimentConfig()
-    if getattr(args, "preset", None) == "desk":
-        cfg = cfgmod.desk_preset(cfg)
-    if getattr(args, "models", None) is not None:
+    if flag("models") is not None:
         cfg = replace(cfg, models=tuple(m.strip() for m in args.models.split(",") if m.strip()))
-    if getattr(args, "trials", None) is not None:
+    if flag("trials") is not None:
         cfg = replace(cfg, trials_per_model=args.trials)
-    if getattr(args, "rounds", None) is not None:
+    if flag("rounds") is not None:
         cfg = replace(cfg, fed=replace(cfg.fed, n_rounds=args.rounds))
-    if getattr(args, "parallel_clients", None) is not None:
+    if flag("parallel_clients") is not None:
         cfg = replace(cfg, fed=replace(cfg.fed, parallel_clients=args.parallel_clients))
-    if args.seed is not None:
+    if flag("seed") is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    data_dir = args.data_dir or os.environ.get("KANFED_DATA_DIR")
+    data_dir = flag("data_dir") or os.environ.get("KANFED_DATA_DIR")
     if data_dir:
         cfg = replace(cfg, data_dir=data_dir)
-    out_dir = args.out_dir or os.environ.get("KANFED_OUT_DIR")
+    out_dir = flag("out_dir") or os.environ.get("KANFED_OUT_DIR")
     if out_dir:
         cfg = replace(cfg, out_dir=out_dir)
     return cfg
@@ -110,6 +114,9 @@ def cmd_run(args) -> int:
     if args.dump_config:
         sys.stdout.write(cfgmod.dump_config(cfg))
         return EXIT_OK
+    # recorded and compared resolved, so another spelling of the same directory resumes
+    cfg = replace(cfg, data_dir=str(Path(cfg.data_dir).resolve()),
+                  out_dir=str(Path(cfg.out_dir).resolve()))
     out = Path(cfg.out_dir)
     manifest_path = out / "manifest.json"
     manifest = _load_manifest(manifest_path)

@@ -1,14 +1,15 @@
 """Experiment configuration with a flat dotted-key text format.
 
 Defaults are the full experiment settings (100 rounds, 15 trials per model,
-10% participation, SGD lr 0.1 momentum 0.9). The `desk` preset shrinks the
-trial count and round count so a complete comparison fits on a CPU.
+10% participation, SGD lr 0.1 momentum 0.9). `kanfed run --trials 3
+--rounds 30` shrinks the trial and round counts so a complete comparison
+fits on a CPU.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import N_CLASSES
@@ -41,11 +42,6 @@ class ExperimentConfig:
         if not 1 <= self.labels_per_client <= N_CLASSES:
             raise ConfigurationError(
                 f"labels_per_client must be in [1, {N_CLASSES}], got {self.labels_per_client}")
-
-
-def desk_preset(cfg: ExperimentConfig) -> ExperimentConfig:
-    """CPU-sized preset: 3 trials per model, 30 rounds, everything else as-is."""
-    return replace(cfg, trials_per_model=3, fed=replace(cfg.fed, n_rounds=30))
 
 
 def derive_trial_seed(master_seed: int, model: str, trial_index: int) -> int:

@@ -36,7 +36,6 @@ class FederationConfig:
     lr: float = 0.1
     client_momentum: float = 0.9
     server_momentum: float = 0.9
-    server_lr: float = 1.0
     parallel_clients: int = 1
 
     def __post_init__(self):
@@ -47,7 +46,6 @@ class FederationConfig:
                 raise ConfigurationError(f"{name} must be positive")
         # the negated comparisons also reject NaN
         for name, high, rule in (("lr", np.inf, "finite and >= 0"),
-                                 ("server_lr", np.inf, "finite and >= 0"),
                                  ("client_momentum", 1.0, "in [0, 1)"),
                                  ("server_momentum", 1.0, "in [0, 1)")):
             value = getattr(self, name)
@@ -137,13 +135,12 @@ def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
 
 
 def server_step(
-    state: ServerState, pseudo_gradient: np.ndarray, server_momentum: float,
-    server_lr: float = 1.0,
+    state: ServerState, pseudo_gradient: np.ndarray, server_momentum: float
 ) -> ServerState:
-    """m <- beta*m + avg_delta; global <- global + lr*m (in place)."""
-    # the mean delta points downhill, unlike a gradient, hence the negated lr
+    """m <- beta*m + avg_delta; global <- global + m (in place)."""
+    # the mean delta points downhill, unlike a gradient, hence the lr of -1
     sgd_momentum_step(state.global_model.params, pseudo_gradient, state.momentum_buf,
-                      -server_lr, server_momentum)
+                      -1.0, server_momentum)
     return state
 
 
@@ -187,7 +184,7 @@ def run_trial(
             updates = [train_one(cid) for cid in sampled]
 
         pseudo_gradient = aggregate(updates)
-        server_step(server, pseudo_gradient, fed_cfg.server_momentum, fed_cfg.server_lr)
+        server_step(server, pseudo_gradient, fed_cfg.server_momentum)
 
         total_n = sum(u.n_samples for u in updates)
         train_loss = sum(u.train_loss * u.n_samples for u in updates) / total_n

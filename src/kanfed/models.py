@@ -38,7 +38,7 @@ RBF-KAN layer:    z = layernorm(x); phi_j(z) = exp(-((z - c_j)/h)^2) over 8
                   fixed centers; y = phi(z) @ Wr.T + x @ Wa.T + b  (base
                   path is a plain affine map on the un-normalized input).
 
-Each KAN has one fixed basis, the paper's: `SPLINE_GRID`, grid 5 and order
+Each KAN has one fixed basis, the paper's: `splines.KNOTS`, grid 5 and order
 3 on [-1, 1] (Liu et al., arXiv 2404.19756), and `RBF_CENTERS`, 8 Gaussian
 centers on [-2, 2] with bandwidth `RBF_BANDWIDTH`, their spacing (FastKAN,
 Li, arXiv 2405.06721).
@@ -77,12 +77,7 @@ import numpy as np
 from .data import PIXEL_LEVELS
 from .errors import ConfigurationError, InternalError
 from .numerics import RngStream, relu, relu_backward, silu, silu_backward, sum_last_axis
-from .splines import (
-    SplineGrid,
-    basis_from_lower,
-    bspline_basis_lower,
-    derivative_from_lower,
-)
+from .splines import N_BASIS, basis_from_lower, bspline_basis_lower, derivative_from_lower
 
 KIND_MLP = "mlp"
 KIND_SPLINE = "spline_kan"
@@ -96,15 +91,13 @@ REFERENCE_WIDTHS = {KIND_MLP: MLP_WIDTHS, KIND_SPLINE: KAN_WIDTHS, KIND_RBF: KAN
 
 _LN_EPS = 1e-12  # float64; keeps normalized variance exact to ~1e-12
 
-# the two KAN bases (see the module docstring)
-SPLINE_GRID = SplineGrid()
+# the RBF-KAN's basis; the Spline-KAN's is splines.KNOTS (see the module docstring)
 RBF_CENTERS = np.linspace(-2.0, 2.0, 8)
 RBF_BANDWIDTH = float(RBF_CENTERS[-1] - RBF_CENTERS[0]) / (len(RBF_CENTERS) - 1)
 
 # layer 0's tables of the 256 pixel codes: silu (256,) and the cubic basis (256, 8)
 _SPLINE_SILU = silu(PIXEL_LEVELS)
-_SPLINE_BASIS = basis_from_lower(PIXEL_LEVELS, SPLINE_GRID,
-                                 bspline_basis_lower(PIXEL_LEVELS, SPLINE_GRID))
+_SPLINE_BASIS = basis_from_lower(PIXEL_LEVELS, bspline_basis_lower(PIXEL_LEVELS))
 # the center operands of the RBF-KAN's two BLAS products over the centers c:
 # [[1/h, ...], [-c/h, ...]] (2, 8) and [1, c] (8, 2)
 _RBF_TO_U = np.stack([np.full_like(RBF_CENTERS, 1.0 / RBF_BANDWIDTH), -RBF_CENTERS / RBF_BANDWIDTH])
@@ -184,8 +177,8 @@ def _mlp_backward(p, cache, g, grad, need_input):
 
 
 def _spline_shapes(i, o):
-    c = SPLINE_GRID.n_basis
-    return [("base_weight", (o, i)), ("spline_weight", (o, i, c)), ("spline_scaler", (o, i))]
+    return [("base_weight", (o, i)), ("spline_weight", (o, i, N_BASIS)),
+            ("spline_scaler", (o, i))]
 
 
 def _spline_init(gen, p, i, o):
@@ -204,8 +197,8 @@ def _spline_forward(p, x, last):
     if x.dtype == np.uint8:
         lower, act, bas = None, _SPLINE_SILU.take(x), _SPLINE_BASIS.take(x, axis=0)
     else:
-        lower = bspline_basis_lower(x, SPLINE_GRID)  # degree order-1, reused by backward
-        act, bas = silu(x), basis_from_lower(x, SPLINE_GRID, lower)  # (b, i), (b, i, c)
+        lower = bspline_basis_lower(x)  # degree order-1, reused by backward
+        act, bas = silu(x), basis_from_lower(x, lower)  # (b, i), (b, i, c)
     ws_scaled = ws * sc[:, :, None]
     y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
     return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
@@ -225,7 +218,7 @@ def _spline_backward(p, cache, g, grad, need_input):
         return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
     t = (g @ ws_scaled).reshape(bsz, i, c)
-    t *= derivative_from_lower(SPLINE_GRID, cache["lower"])
+    t *= derivative_from_lower(cache["lower"])
     return g @ p["base_weight"] * silu_backward(x) + sum_last_axis(t)
 
 

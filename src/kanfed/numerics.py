@@ -103,41 +103,24 @@ def per_sample_nll(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def sum_last_axis(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1) bit for bit, taking each addition over a column.
+    """np.sum(a, axis=-1) bit for bit for a last axis of 8, one column at a time.
 
-    numpy sums a contiguous last axis of n <= 128 elements row by row: onto
-    a +0.0 start it adds the row's elements one after another when n < 8;
-    else it keeps 8 strided partial sums r_k = a_k + a_k+8 + ..., adds them
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the
-    remaining n % 8 elements one after another. This takes the same
-    additions in the same order, but each one over the column a[..., k] of
-    all rows, so a short last axis costs n passes of one call each instead
-    of one call per row. Longer axes go to np.sum. The match holds for a
-    contiguous last axis (numpy adds other layouts in other orders), and up
-    to which NaN comes out where two NaNs with different bits meet: that
-    depends on the operand order numpy's compiler chose.
+    numpy sums a contiguous 8-long last axis row by row, as
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) onto a +0.0 start.
+    This takes the same additions in the same order, but each one over the
+    column a[..., k] of all rows, so it costs seven passes of one call each
+    instead of one call per row. The match holds for a contiguous last axis
+    (numpy adds other layouts in other orders), and up to which NaN comes out
+    where two NaNs with different bits meet: that depends on the operand
+    order numpy's compiler chose. Another width fails a reshape (ValueError).
     """
-    n = a.shape[-1]
-    if not 0 < n <= 128:
-        return np.sum(a, axis=-1)
-    cols = a.reshape(-1, n).T
-    if n < 8:
-        total = np.zeros(cols.shape[1])
-        for col in cols:
-            total += col
-    else:
-        end = n - n % 8
-        r = list(cols[:8])
-        for start in range(8, end, 8):
-            r = [r[k] + cols[start + k] for k in range(8)]
-        total = r[0] + r[1]
-        total += r[2] + r[3]
-        right = r[4] + r[5]
-        right += r[6] + r[7]
-        total += right
-        for col in cols[end:]:
-            total += col
-        total += 0.0  # the +0.0 start; it only turns a -0.0 sum into +0.0
+    c = a.reshape(-1, 8).T
+    total = c[0] + c[1]
+    total += c[2] + c[3]
+    right = c[4] + c[5]
+    right += c[6] + c[7]
+    total += right
+    total += 0.0  # the +0.0 start; it only turns a -0.0 sum into +0.0
     return total.reshape(a.shape[:-1])
 
 

@@ -1,13 +1,13 @@
-"""B-spline basis evaluation on an extended uniform knot vector.
+"""The Spline-KAN's one B-spline basis: grid 5, order 3 on [-1, 1].
 
-The grid covers [lo, hi] with `grid_size` uniform intervals, extended by
-`order` extra knots on each side, so a degree-`order` basis has exactly
-grid_size + order functions per scalar input (8 for the default grid 5 /
-order 3 setup). Evaluation uses the Cox-de Boor recursion, vectorized over
-an arbitrary leading shape. The recursion runs basis-first, on (n, N) arrays
-over the N inputs; results come back in the x.shape + (n,) layout as
-transposed views, which `basis_from_lower` and `derivative_from_lower` read
-back without a copy.
+The paper compares one Spline-KAN (Liu et al., arXiv 2404.19756). Its grid
+covers [LO, HI] = [-1, 1] with GRID_SIZE = 5 uniform intervals, extended by
+ORDER = 3 extra knots on each side, so the 12 knots `KNOTS` carry
+N_BASIS = 8 cubic basis functions per scalar input. Evaluation uses the
+Cox-de Boor recursion, vectorized over an arbitrary leading shape. The
+recursion runs basis-first, on (n, N) arrays over the N inputs; results come
+back in the x.shape + (n,) layout as transposed views, which
+`basis_from_lower` and `derivative_from_lower` read back without a copy.
 
 In grid units u, the step to degree d builds basis j from bases j and
 j + 1 of degree d - 1 as ((u - j) B_j + (j + d + 1 - u) B_j+1) / d. The
@@ -22,41 +22,18 @@ same IEEE result, bit for bit (tests/test_splines.py::TestHoistedDifferences).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ConfigurationError
+GRID_SIZE, ORDER, LO, HI = 5, 3, -1.0, 1.0
+N_BASIS = GRID_SIZE + ORDER
+KNOTS = LO + (HI - LO) / GRID_SIZE * (np.arange(GRID_SIZE + 2 * ORDER + 1) - ORDER)
+KNOTS.flags.writeable = False  # read by every caller
+_STEP = KNOTS[1] - KNOTS[0]
 
 
-@dataclass(frozen=True)
-class SplineGrid:
-    grid_size: int = 5
-    order: int = 3
-    lo: float = -1.0
-    hi: float = 1.0
-    knots: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.grid_size < 1 or self.order < 1:
-            raise ConfigurationError("grid_size and order must be positive")
-        if not self.hi > self.lo:
-            raise ConfigurationError(f"bad grid range [{self.lo}, {self.hi}]")
-        h = (self.hi - self.lo) / self.grid_size
-        n_knots = self.grid_size + 2 * self.order + 1
-        knots = self.lo + h * (np.arange(n_knots) - self.order)
-        knots.flags.writeable = False
-        object.__setattr__(self, "knots", knots)
-
-    @property
-    def n_basis(self) -> int:
-        return self.grid_size + self.order
-
-
-def _grid_units(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
+def _grid_units(x: np.ndarray) -> np.ndarray:
     """u = (x - t_0)/h as one (1, N) row over the N = x.size inputs."""
-    t = grid.knots
-    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0])).reshape(1, -1)
+    return ((np.asarray(x, dtype=np.float64) - KNOTS[0]) / _STEP).reshape(1, -1)
 
 
 def _basis_first(lower: np.ndarray) -> np.ndarray:
@@ -100,29 +77,22 @@ def _raise_degree(u: np.ndarray, b: np.ndarray, first: int, last: int) -> np.nda
     return b
 
 
-def _basis_of_degree(x: np.ndarray, grid: SplineGrid, degree: int) -> np.ndarray:
-    """All B-spline basis functions of `degree` on the grid, stacked last axis."""
-    u = _grid_units(x, grid)
+def bspline_basis_lower(x: np.ndarray) -> np.ndarray:
+    """Degree-(ORDER-1) basis, the shared input of the value and derivative."""
+    u = _grid_units(x)
     # degree 0: B_j = [j <= u < j + 1] = [floor(u) == j], exactly, NaN and inf included
-    j0 = np.arange(len(grid.knots) - 1, dtype=np.float64)[:, None]
+    j0 = np.arange(len(KNOTS) - 1, dtype=np.float64)[:, None]
     b = (np.floor(u) == j0).astype(np.float64)
-    return _public(_raise_degree(u, b, 1, degree), np.shape(x))
+    return _public(_raise_degree(u, b, 1, ORDER - 1), np.shape(x))
 
 
-def bspline_basis_lower(x: np.ndarray, grid: SplineGrid) -> np.ndarray:
-    """Degree-(order-1) basis, the shared input of the value and derivative."""
-    return _basis_of_degree(x, grid, grid.order - 1)
-
-
-def basis_from_lower(x: np.ndarray, grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
-    """One Cox-de Boor step: degree-(order-1) basis -> degree-order basis."""
-    b = _raise_degree(_grid_units(x, grid), _basis_first(lower), grid.order, grid.order)
+def basis_from_lower(x: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """One Cox-de Boor step: degree-(ORDER-1) basis -> degree-ORDER basis."""
+    b = _raise_degree(_grid_units(x), _basis_first(lower), ORDER, ORDER)
     return _public(b, lower.shape[:-1])
 
 
-def derivative_from_lower(grid: SplineGrid, lower: np.ndarray) -> np.ndarray:
-    """d/dx of the degree-order basis from the degree-(order-1) basis."""
-    h = grid.knots[1] - grid.knots[0]
+def derivative_from_lower(lower: np.ndarray) -> np.ndarray:
+    """d/dx of the degree-ORDER basis from the degree-(ORDER-1) basis."""
     b = _basis_first(lower)
-    return _public((b[:-1] - b[1:]) / h, lower.shape[:-1])
-
+    return _public((b[:-1] - b[1:]) / _STEP, lower.shape[:-1])

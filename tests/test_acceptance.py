@@ -40,7 +40,7 @@ from kanfed.models import (
     param_count,
 )
 from kanfed.numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
-from kanfed.splines import SplineGrid
+from kanfed.splines import KNOTS, N_BASIS
 from kanfed.stats import bootstrap_ratio_ci, welch_one_sided
 
 from conftest import make_synth_dataset, rel_err
@@ -86,17 +86,16 @@ def test_criterion_2_gradient_correctness():
 
 
 def test_criterion_3_spline_basis_properties():
-    grid = SplineGrid()
     x = RngStream(102).gen.uniform(-0.999, 0.999, 1000)
-    b = bspline_basis(x, grid)
-    d = bspline_basis_derivative(x, grid)
+    b = bspline_basis(x)
+    d = bspline_basis_derivative(x)
     pu = np.abs(b.sum(axis=1) - 1.0).max()
     ds = np.abs(d.sum(axis=1)).max()
     assert pu < 1e-9 and ds < 1e-9
     oracle_err = 0.0
     for i, xi in enumerate(x[:50]):
-        for j in range(grid.n_basis):
-            oracle_err = max(oracle_err, abs(b[i, j] - deboor_oracle(j, 3, xi, grid.knots)))
+        for j in range(N_BASIS):
+            oracle_err = max(oracle_err, abs(b[i, j] - deboor_oracle(j, 3, xi, KNOTS)))
     assert oracle_err < 1e-12
     _ok(
         f"criterion 3: partition of unity {pu:.1e}, derivative sum {ds:.1e}, "
@@ -168,7 +167,7 @@ def test_criterion_6_desk_scale_accuracy_ordering(tmp_path):
     out_dir = tmp_path / "desk"
     code = cli_main(
         [
-            "run", "--preset", "desk",
+            "run", "--trials", "3", "--rounds", "30",
             "--data-dir", data_dir, "--out-dir", str(out_dir), "--seed", "42",
         ]
     )

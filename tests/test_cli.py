@@ -3,6 +3,7 @@ import hashlib
 import json
 import shutil
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,6 @@ from kanfed.cli import main
 from kanfed.config import (
     ExperimentConfig,
     derive_trial_seed,
-    desk_preset,
     dump_config,
     load_config,
 )
@@ -37,13 +37,14 @@ class TestConfig:
         assert cfg.fed.server_momentum == 0.9
 
     def test_dump_load_round_trip(self):
-        cfg = desk_preset(ExperimentConfig(master_seed=7, models=("mlp",)))
+        cfg = ExperimentConfig(master_seed=7, models=("mlp",), trials_per_model=3,
+                               fed=FederationConfig(n_rounds=30))
         assert load_config(dump_config(cfg)) == cfg
 
     def test_dump_text_pinned(self):
         fed = FederationConfig(n_rounds=7, clients_per_round_fraction=0.25, local_epochs=2,
                                batch_size=32, lr=0.05, client_momentum=0.5,
-                               server_momentum=0.8, server_lr=0.7, parallel_clients=2)
+                               server_momentum=0.8, parallel_clients=2)
         cfg = ExperimentConfig(models=("rbf_kan", "mlp"), trials_per_model=4, master_seed=9,
                                data_dir="d d", out_dir="o", n_clients=50,
                                labels_per_client=3, fed=fed)
@@ -62,7 +63,6 @@ class TestConfig:
             "fed.lr = 0.05\n"
             "fed.client_momentum = 0.5\n"
             "fed.server_momentum = 0.8\n"
-            "fed.server_lr = 0.7\n"
             "fed.parallel_clients = 2\n"
         )
         assert load_config(dump_config(cfg)) == cfg
@@ -72,6 +72,9 @@ class TestConfig:
             load_config("nonsense = 1\n")
         with pytest.raises(ConfigurationError):
             load_config("fed.nonsense = 1\n")
+        # the server step is its momentum buffer, unscaled: no server lr to set
+        with pytest.raises(ConfigurationError, match="unknown key 'fed.server_lr'"):
+            load_config("fed.server_lr = 1.0\n")
 
     def test_repeated_key_rejected(self):
         # the later value would otherwise win without a word
@@ -85,7 +88,7 @@ class TestConfig:
             load_config(f"master_seed = 3\n{line}\n")
 
     @pytest.mark.parametrize("line", [
-        "fed.lr = nan", "fed.lr = -0.5", "fed.server_lr = -1", "fed.server_lr = inf",
+        "fed.lr = nan", "fed.lr = -0.5",
         "fed.client_momentum = inf", "fed.client_momentum = 1.0",
         "fed.server_momentum = -0.1", "fed.server_momentum = nan",
         "n_clients = -3", "n_clients = 0",
@@ -104,14 +107,17 @@ class TestConfig:
             assert load_config(f"labels_per_client = {k}\n").labels_per_client == k
 
     def test_zero_step_and_momentum_allowed(self):
-        cfg = load_config("fed.lr = 0.0\nfed.server_lr = 0\nfed.client_momentum = 0\n")
-        assert cfg.fed.lr == cfg.fed.server_lr == cfg.fed.client_momentum == 0.0
+        cfg = load_config("fed.lr = 0.0\nfed.client_momentum = 0\nfed.server_momentum = 0\n")
+        assert cfg.fed.lr == cfg.fed.client_momentum == cfg.fed.server_momentum == 0.0
 
-    def test_desk_preset(self):
-        cfg = desk_preset(ExperimentConfig())
-        assert cfg.trials_per_model == 3
-        assert cfg.fed.n_rounds == 30
-        assert cfg.fed.lr == 0.1  # other settings untouched
+    def test_desk_preset(self, capsys):
+        # the desk-scale comparison is two flags; --preset desk is gone
+        assert run_cli("run", "--dump-config", "--trials", "3", "--rounds", "30") == 0
+        desk = replace(ExperimentConfig(), trials_per_model=3, fed=FederationConfig(n_rounds=30))
+        assert capsys.readouterr().out == dump_config(desk)
+        with pytest.raises(SystemExit) as e:
+            run_cli("run", "--dump-config", "--preset", "desk")
+        assert e.value.code == 1
 
     def test_trial_seeds_distinct_and_stable(self):
         s1 = derive_trial_seed(42, "mlp", 0)
@@ -142,7 +148,7 @@ def synth_mirror(synth_idx_dir, tmp_path, monkeypatch):
 
 class TestRun:
     def test_dump_config_defaults(self, capsys):
-        assert run_cli("run", "--dump-config", "--preset", "desk") == 0
+        assert run_cli("run", "--dump-config", "--trials", "3", "--rounds", "30") == 0
         out = capsys.readouterr().out
         assert "fed.lr = 0.1" in out
         assert "fed.n_rounds = 30" in out
@@ -192,6 +198,34 @@ class TestRun:
         assert run_cli(*args, "--rounds", "2") == 1
         assert "fed.n_rounds" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_resume_with_other_spellings_of_the_dirs(self, synth_idx_dir, tmp_path,
+                                                    monkeypatch, capsys):
+        out_dir = tmp_path / "runs"
+        args = ("run", "--models", "mlp", "--trials", "2", "--rounds", "1", "--seed", "5")
+        assert run_cli(*args, "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir)) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        for data_dir, out in ((str(synth_idx_dir), "runs/."),
+                              (f"{synth_idx_dir}/../{synth_idx_dir.name}", "./runs"),
+                              (str(synth_idx_dir), str(out_dir) + "/")):
+            capsys.readouterr()
+            assert run_cli(*args, "--data-dir", data_dir, "--out-dir", out) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                "skip mlp_trial00.jsonl (already complete)",
+                "skip mlp_trial01.jsonl (already complete)",
+            ]
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_resume_with_a_copy_of_the_data_refused(self, synth_idx_dir, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        args = ("run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+                "--out-dir", str(out_dir), "--seed", "5")
+        assert run_cli(*args, "--data-dir", str(synth_idx_dir)) == 0
+        copy = shutil.copytree(synth_idx_dir, tmp_path / "copy")
+        capsys.readouterr()
+        assert run_cli(*args, "--data-dir", str(copy)) == 1
+        assert "other settings (data_dir)" in capsys.readouterr().err
 
     def test_failed_log_write_leaves_no_partial_log(self, synth_idx_dir, tmp_path, monkeypatch):
         out_dir = tmp_path / "runs"
@@ -322,6 +356,23 @@ class TestRun:
         with pytest.raises(SystemExit) as e:
             run_cli("run", "--preset", "bogus")
         assert e.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fetch-data", "--out-dir", "d"),
+    ("fetch-data", "--seed", "3"),
+    ("report", "--data-dir", "x"),
+])
+def test_flag_the_subcommand_ignores_exit_1(tmp_path, capsys, argv):
+    # each subcommand declares only the shared flags it reads, so one it
+    # would drop without a word is a usage error
+    command, flag, value = argv
+    rest = (["--data-dir", str(tmp_path / "data"), "--mirror", (tmp_path / "none").as_uri()]
+            if command == "fetch-data" else [str(tmp_path / "logs")])
+    with pytest.raises(SystemExit) as e:
+        run_cli(command, *rest, flag, value)
+    assert e.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 class TestPartition:

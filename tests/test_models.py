@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kanfed import models
+from kanfed import models, splines
 from kanfed.data import PIXEL_LEVELS
 from kanfed.errors import ConfigurationError, InternalError
 from kanfed.models import (
@@ -73,7 +73,7 @@ class TestParamCount:
             if kind == KIND_MLP:
                 expected += i * o + o
             elif kind == KIND_SPLINE:
-                expected += i * o * models.SPLINE_GRID.n_basis + 2 * i * o
+                expected += i * o * splines.N_BASIS + 2 * i * o
             else:
                 expected += 2 * i + len(models.RBF_CENTERS) * i * o + i * o + o
         assert param_count(cfg) == expected
@@ -147,7 +147,7 @@ class TestInit:
         p = state.layer_views(0)
         wb, ws, sc = p["base_weight"], p["spline_weight"], p["spline_scaler"]
         base = silu(x) @ wb.T
-        bas = bspline_basis(x, models.SPLINE_GRID)
+        bas = bspline_basis(x)
         scaled = (ws * sc[:, :, None]).reshape(8, -1)
         spline = bas.reshape(64, -1) @ scaled.T
         assert np.abs(spline).mean() < np.abs(base).mean()
@@ -157,9 +157,9 @@ class TestLayerConstants:
     """Each KAN's fixed basis, and the tables and operands built from it once."""
 
     def test_spline_grid(self):
-        knots = models.SPLINE_GRID.knots
-        assert np.array_equal(knots, -1 + 0.4 * (np.arange(12) - 3))
-        assert models.SPLINE_GRID.n_basis == 8 and not knots.flags.writeable
+        knots = splines.KNOTS
+        assert knots.tobytes() == (-1.0 + (2.0 / 5) * (np.arange(12) - 3)).tobytes()
+        assert splines.N_BASIS == 8 and not knots.flags.writeable
 
     def test_rbf_centers_and_bandwidth(self):
         assert np.array_equal(models.RBF_CENTERS, np.linspace(-2, 2, 8))
@@ -482,13 +482,12 @@ def _oracle_spline_forward(p, x, last):
     ws, sc = p["spline_weight"], p["spline_scaler"]
     bsz, i = x.shape
     o, _, c = ws.shape
-    grid = models.SPLINE_GRID
     if x.dtype == np.uint8:
-        bas_table = seven_op_from_lower(PIXEL_LEVELS, grid, seven_op_lower(PIXEL_LEVELS, grid))
+        bas_table = seven_op_from_lower(PIXEL_LEVELS, seven_op_lower(PIXEL_LEVELS))
         lower, act, bas = None, silu(PIXEL_LEVELS).take(x), bas_table.take(x, axis=0)
     else:
-        lower = seven_op_lower(x, grid)
-        act, bas = silu(x), seven_op_from_lower(x, grid, lower)
+        lower = seven_op_lower(x)
+        act, bas = silu(x), seven_op_from_lower(x, lower)
     ws_scaled = ws * sc[:, :, None]
     y = act @ p["base_weight"].T + bas.reshape(bsz, i * c) @ ws_scaled.reshape(o, i * c).T
     return y, {"x": x, "silu": act, "basis": bas, "lower": lower}
@@ -508,7 +507,7 @@ def _oracle_spline_backward(p, cache, g, grad, need_input):
         return None
     ws_scaled = (ws * sc[:, :, None]).reshape(o, i * c)
     t = (g @ ws_scaled).reshape(bsz, i, c)
-    dbas = seven_op_derivative(models.SPLINE_GRID, cache["lower"])
+    dbas = seven_op_derivative(cache["lower"])
     return g @ p["base_weight"] * silu_backward(x) + (t * dbas).sum(axis=2)
 
 

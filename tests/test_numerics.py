@@ -120,7 +120,7 @@ class TestSgdMomentum:
         with pytest.raises(InternalError):
             sgd_momentum_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 0.9)
 
-    # lr 0.1 is the client step; server_step passes the negated server lr
+    # lr 0.1 is the client step; server_step passes -1.0
     @pytest.mark.parametrize("lr", [0.1, -1.0])
     @pytest.mark.parametrize("n", [1, SGD_BLOCK - 1, SGD_BLOCK, SGD_BLOCK + 1, 3 * SGD_BLOCK + 5])
     def test_blocked_bit_identical_to_unblocked(self, n, lr):
@@ -145,14 +145,16 @@ class TestSgdMomentum:
 
 
 class TestSumLastAxis:
-    """sum_last_axis against np.sum, the oracle, byte for byte."""
+    """sum_last_axis against np.sum, the oracle, byte for byte, on the one
+    width it takes: the 8 basis values of a Spline-KAN edge."""
 
     @staticmethod
-    def rows(n, gen):
+    def rows(gen):
         # Which of two NaNs with different bits an addition returns depends on
         # the operand order numpy's compiler chose, so no row mixes them.
         # The program's own NaNs all come from inf - inf, inf * 0 or the
         # like, and on one machine those all have the same bits.
+        n = 8
         a = gen.normal(size=(14, n)) * gen.choice([1e-300, 1.0, 1e300], size=(14, n))
         a[0] = -0.0
         a[1] = 0.0
@@ -170,12 +172,18 @@ class TestSumLastAxis:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("n", list(range(1, 21)) + [64, 127, 128, 129])
     def test_bytes_match_np_sum(self, n):
-        a = self.rows(n, RngStream(70 + n).gen)
-        assert sum_last_axis(a).tobytes() == np.sum(a, axis=-1).tobytes()
-        # any leading shape; the input is left as it was
-        cube = a.reshape(2, 7, n)
+        """n draws of the 14 special rows: columns of 14 * n rows."""
+        gen = RngStream(70 + n).gen
+        cube = np.stack([self.rows(gen) for _ in range(n)])
         before = cube.tobytes()
         got = sum_last_axis(cube)
-        assert got.shape == (2, 7)
+        assert got.shape == (n, 14)
         assert got.tobytes() == np.sum(cube, axis=-1).tobytes()
-        assert cube.tobytes() == before
+        assert cube.tobytes() == before  # the input is left as it was
+        flat = cube.reshape(-1, 8)
+        assert sum_last_axis(flat).tobytes() == np.sum(flat, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 7), (4, 4), (2, 16), (5, 24, 16)])
+    def test_other_widths_raise(self, shape):
+        with pytest.raises(ValueError):
+            sum_last_axis(np.ones(shape))

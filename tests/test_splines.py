@@ -4,22 +4,22 @@ import pytest
 from kanfed import models, splines
 from kanfed.models import ModelConfig, backward, forward, init_params
 from kanfed.numerics import RngStream
-from kanfed.splines import (
-    SplineGrid,
-    basis_from_lower,
-    bspline_basis_lower,
-    derivative_from_lower,
-)
+from kanfed.splines import KNOTS, basis_from_lower, bspline_basis_lower, derivative_from_lower
 
 
-def bspline_basis(x, grid):
-    """Degree-`order` basis values, shape x.shape + (grid.n_basis,)."""
-    return basis_from_lower(x, grid, bspline_basis_lower(x, grid))
+def bspline_basis(x):
+    """Cubic basis values, shape x.shape + (8,)."""
+    return basis_from_lower(x, bspline_basis_lower(x))
 
 
-def bspline_basis_derivative(x, grid):
-    """d/dx of each degree-`order` basis function."""
-    return derivative_from_lower(grid, bspline_basis_lower(x, grid))
+def bspline_basis_derivative(x):
+    """d/dx of each cubic basis function."""
+    return derivative_from_lower(bspline_basis_lower(x))
+
+
+def uniform_knots(grid_size, order):
+    """The knots of `grid_size` intervals on [-1, 1], `order` more on each side."""
+    return -1.0 + (2.0 / grid_size) * (np.arange(grid_size + 2 * order + 1) - order)
 
 
 def deboor_oracle(j, k, x, t):
@@ -36,70 +36,71 @@ def deboor_oracle(j, k, x, t):
     return left + right
 
 
-@pytest.fixture
-def grid():
-    return SplineGrid()
-
-
 class TestGrid:
-    def test_knot_vector_shape(self, grid):
-        assert len(grid.knots) == 5 + 2 * 3 + 1
-        assert grid.n_basis == 8
-        steps = np.diff(grid.knots)
+    def test_knot_vector_shape(self):
+        assert len(KNOTS) == 5 + 2 * 3 + 1
+        assert splines.N_BASIS == 8
+        steps = np.diff(KNOTS)
         assert np.allclose(steps, steps[0], atol=1e-15)
         assert np.all(steps > 0)
 
 
 class TestBasis:
-    def test_partition_of_unity(self, grid):
+    def test_partition_of_unity(self):
         x = RngStream(1).gen.uniform(-0.999, 0.999, 1000)
-        b = bspline_basis(x, grid)
+        b = bspline_basis(x)
         assert b.shape == (1000, 8)
         assert np.abs(b.sum(axis=1) - 1.0).max() < 1e-9
 
-    def test_palindromic_at_grid_center(self, grid):
-        b = bspline_basis(np.array([0.0]), grid)[0]
+    def test_palindromic_at_grid_center(self):
+        b = bspline_basis(np.array([0.0]))[0]
         assert np.allclose(b, b[::-1], atol=1e-12)
 
-    def test_matches_deboor_oracle(self, grid):
+    def test_matches_deboor_oracle(self):
         xs = RngStream(2).gen.uniform(-1.5, 1.5, 50)
-        b = bspline_basis(xs, grid)
+        b = bspline_basis(xs)
         for i, x in enumerate(xs):
             for j in range(8):
-                assert abs(b[i, j] - deboor_oracle(j, 3, x, grid.knots)) < 1e-12
+                assert abs(b[i, j] - deboor_oracle(j, 3, x, KNOTS)) < 1e-12
 
-    def test_nonnegative_and_vanishing_outside(self, grid):
+    def test_nonnegative_and_vanishing_outside(self):
         x = np.array([-5.0, 5.0])
-        b = bspline_basis(x, grid)
+        b = bspline_basis(x)
         assert np.all(b == 0.0)
         x = RngStream(3).gen.uniform(-2, 2, 200)
-        assert bspline_basis(x, grid).min() >= 0.0
+        assert bspline_basis(x).min() >= 0.0
 
 
 class TestDerivative:
-    def test_derivative_sum_zero(self, grid):
+    def test_derivative_sum_zero(self):
         x = RngStream(4).gen.uniform(-0.999, 0.999, 1000)
-        d = bspline_basis_derivative(x, grid)
+        d = bspline_basis_derivative(x)
         assert np.abs(d.sum(axis=1)).max() < 1e-9
 
-    def test_matches_finite_difference(self, grid):
+    def test_matches_finite_difference(self):
         x = RngStream(5).gen.uniform(-0.9, 0.9, 100)
         h = 1e-6
-        fd = (bspline_basis(x + h, grid) - bspline_basis(x - h, grid)) / (2 * h)
-        assert np.abs(bspline_basis_derivative(x, grid) - fd).max() < 1e-6
+        fd = (bspline_basis(x + h) - bspline_basis(x - h)) / (2 * h)
+        assert np.abs(bspline_basis_derivative(x) - fd).max() < 1e-6
 
-    def test_continuous_at_interior_knot(self, grid):
-        knot = grid.knots[6]  # simple interior knot
+    def test_continuous_at_interior_knot(self):
+        knot = KNOTS[6]  # simple interior knot
         h = 1e-8
         x = np.array([knot])
-        left = (bspline_basis(x, grid) - bspline_basis(x - h, grid)) / h
-        right = (bspline_basis(x + h, grid) - bspline_basis(x, grid)) / h
+        left = (bspline_basis(x) - bspline_basis(x - h)) / h
+        right = (bspline_basis(x + h) - bspline_basis(x)) / h
         assert np.abs(left - right).max() < 1e-6
 
 
+# The reference recursions below run on the paper's knots, built here
+# independently of the program (tests/test_models.py::TestLayerConstants
+# checks that splines.KNOTS is byte-equal to them).
+ORDER = 3
+PAPER_KNOTS = uniform_knots(5, ORDER)
+
+
 # the trailing-axis recursion that the basis-first layout replaced, kept as the oracle
-def _trailing_units(x, grid):
-    t = grid.knots
+def _trailing_units(x, t):
     return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0]))[..., None]
 
 
@@ -108,21 +109,26 @@ def _trailing_step(uu, lower, d):
     return ((uu - jj) * lower[..., :-1] + (jj + d + 1 - uu) * lower[..., 1:]) / d
 
 
-def trailing_lower(x, grid):
-    uu = _trailing_units(x, grid)
-    j0 = np.arange(len(grid.knots) - 1)
+def trailing_lower(x, t=PAPER_KNOTS):
+    uu = _trailing_units(x, t)
+    j0 = np.arange(len(t) - 1)
     b = ((uu >= j0) & (uu < j0 + 1)).astype(np.float64)
-    for d in range(1, grid.order):
+    for d in range(1, ORDER):
         b = _trailing_step(uu, b, d)
     return b
 
 
-def trailing_from_lower(x, grid, lower):
-    return _trailing_step(_trailing_units(x, grid), lower, grid.order)
+def trailing_from_lower(x, lower, t=PAPER_KNOTS):
+    return _trailing_step(_trailing_units(x, t), lower, ORDER)
 
 
-def trailing_derivative(grid, lower):
-    return (lower[..., :-1] - lower[..., 1:]) / (grid.knots[1] - grid.knots[0])
+def trailing_derivative(lower, t=PAPER_KNOTS):
+    return (lower[..., :-1] - lower[..., 1:]) / (t[1] - t[0])
+
+
+# the grids whose knots the inputs below are built on: the paper's own, and
+# two coarser ones whose knots fall inside the paper's intervals
+INPUT_GRIDS = [(5, 3), (3, 2), (4, 1)]
 
 
 class TestBasisFirstLayout:
@@ -131,31 +137,32 @@ class TestBasisFirstLayout:
     SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -1.0, 1.0, -7.5, 9.0]
 
     @staticmethod
-    def inputs(shape, seed, grid):
-        x = RngStream(seed).gen.uniform(grid.knots[0] - 1.0, grid.knots[-1] + 1.0, shape)
+    def inputs(shape, seed, t):
+        """Uniform over the knots t and one past each end, then the special
+        values and t itself."""
+        x = RngStream(seed).gen.uniform(t[0] - 1.0, t[-1] + 1.0, shape)
         flat = x.reshape(-1)
-        specials = TestBasisFirstLayout.SPECIAL + list(grid.knots)
+        specials = TestBasisFirstLayout.SPECIAL + list(t)
         flat[: min(len(specials), flat.size)] = specials[: flat.size]
         return x
 
     # inf * 0 gives NaN in both recursions, with a RuntimeWarning
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("shape", [(64, 24), (7,), (3, 5, 784)])
-    @pytest.mark.parametrize("grid_size,order", [(5, 3), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("grid_size,order", INPUT_GRIDS)
     def test_matches_trailing_axis_recursion(self, shape, grid_size, order):
-        grid = SplineGrid(grid_size, order)
-        x = self.inputs(shape, 60 + grid_size, grid)
-        lower = bspline_basis_lower(x, grid)
-        old_lower = trailing_lower(x, grid)
-        assert lower.shape == old_lower.shape == shape + (grid.n_basis + 1,)
+        x = self.inputs(shape, 60 + grid_size, uniform_knots(grid_size, order))
+        lower = bspline_basis_lower(x)
+        old_lower = trailing_lower(x)
+        assert lower.shape == old_lower.shape == shape + (9,)
         assert np.array_equal(lower, old_lower, equal_nan=True)
-        value = basis_from_lower(x, grid, lower)
-        assert value.shape == shape + (grid.n_basis,)
-        assert np.array_equal(value, trailing_from_lower(x, grid, old_lower), equal_nan=True)
-        assert np.array_equal(bspline_basis(x, grid), value, equal_nan=True)
-        deriv = derivative_from_lower(grid, lower)
-        assert deriv.shape == shape + (grid.n_basis,)
-        assert np.array_equal(deriv, trailing_derivative(grid, old_lower), equal_nan=True)
+        value = basis_from_lower(x, lower)
+        assert value.shape == shape + (8,)
+        assert np.array_equal(value, trailing_from_lower(x, old_lower), equal_nan=True)
+        assert np.array_equal(bspline_basis(x), value, equal_nan=True)
+        deriv = derivative_from_lower(lower)
+        assert deriv.shape == shape + (8,)
+        assert np.array_equal(deriv, trailing_derivative(old_lower), equal_nan=True)
         # the value and derivative read this module's lower back without a copy
         assert np.shares_memory(splines._basis_first(lower), lower)
 
@@ -180,8 +187,7 @@ class TestBasisFirstLayout:
 
 # today's basis-first recursion before the differences were hoisted: every
 # step takes u - j and j + d + 1 - u afresh, in 7 operations
-def _seven_op_units(x, grid):
-    t = grid.knots
+def _seven_op_units(x, t):
     return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0])).reshape(1, -1)
 
 
@@ -190,24 +196,24 @@ def _seven_op_step(u, lower, d):
     return ((u - j) * lower[:-1] + (j + d + 1 - u) * lower[1:]) / d
 
 
-def seven_op_lower(x, grid):
-    u = _seven_op_units(x, grid)
-    j0 = np.arange(len(grid.knots) - 1)[:, None]
+def seven_op_lower(x, t=PAPER_KNOTS):
+    u = _seven_op_units(x, t)
+    j0 = np.arange(len(t) - 1)[:, None]
     b = ((u >= j0) & (u < j0 + 1)).astype(np.float64)
-    for d in range(1, grid.order):
+    for d in range(1, ORDER):
         b = _seven_op_step(u, b, d)
     return b.T.reshape(np.shape(x) + (len(b),))
 
 
-def seven_op_from_lower(x, grid, lower):
+def seven_op_from_lower(x, lower, t=PAPER_KNOTS):
     b = lower.reshape(-1, lower.shape[-1]).T
-    b = _seven_op_step(_seven_op_units(x, grid), b, grid.order)
+    b = _seven_op_step(_seven_op_units(x, t), b, ORDER)
     return b.T.reshape(lower.shape[:-1] + (len(b),))
 
 
-def seven_op_derivative(grid, lower):
+def seven_op_derivative(lower, t=PAPER_KNOTS):
     b = lower.reshape(-1, lower.shape[-1]).T
-    b = (b[:-1] - b[1:]) / (grid.knots[1] - grid.knots[0])
+    b = (b[:-1] - b[1:]) / (t[1] - t[0])
     return b.T.reshape(lower.shape[:-1] + (len(b),))
 
 
@@ -217,23 +223,23 @@ class TestHoistedDifferences:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("shape", [(64, 24), (5, 784), (11,)])
-    @pytest.mark.parametrize("grid_size,order", [(5, 3), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("grid_size,order", INPUT_GRIDS)
     def test_bytes_match_seven_op_step(self, shape, grid_size, order):
-        grid = SplineGrid(grid_size, order)
-        x = TestBasisFirstLayout.inputs(shape, 80 + order, grid)
+        t = uniform_knots(grid_size, order)
+        x = TestBasisFirstLayout.inputs(shape, 80 + order, t)
         # every knot and its negation, just inside and outside each end, and
         # far outside: on a knot one of the two differences is exactly zero
         flat = x.reshape(-1)
-        edges = [grid.knots[0] - 1e-12, grid.knots[-1] + 1e-12, -np.inf, np.inf, np.nan, -0.0]
-        extra = list(-grid.knots) + edges
+        edges = [t[0] - 1e-12, t[-1] + 1e-12, -np.inf, np.inf, np.nan, -0.0]
+        extra = list(-t) + edges
         flat[-len(extra):] = extra[-flat.size:]
-        lower, old_lower = bspline_basis_lower(x, grid), seven_op_lower(x, grid)
+        lower, old_lower = bspline_basis_lower(x), seven_op_lower(x)
         assert lower.shape == old_lower.shape
         assert lower.tobytes() == np.ascontiguousarray(old_lower).tobytes()
-        value = basis_from_lower(x, grid, lower)
-        old_value = seven_op_from_lower(x, grid, old_lower)
+        value = basis_from_lower(x, lower)
+        old_value = seven_op_from_lower(x, old_lower)
         assert value.tobytes() == np.ascontiguousarray(old_value).tobytes()
-        deriv = derivative_from_lower(grid, lower)
-        old_deriv = seven_op_derivative(grid, old_lower)
+        deriv = derivative_from_lower(lower)
+        old_deriv = seven_op_derivative(old_lower)
         assert deriv.tobytes() == np.ascontiguousarray(old_deriv).tobytes()
         assert np.isnan(value).any()  # inf * 0 in both recursions
