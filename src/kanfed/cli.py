@@ -1,20 +1,16 @@
 """Command-line entry point.
 
-Subcommands: run | partition | report | fetch-data.
+Subcommands: run | report | fetch-data.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime error.
-Env overrides: KANFED_DATA_DIR, KANFED_OUT_DIR.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import config as cfgmod
 from . import data as datamod
@@ -64,11 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-config", action="store_true",
                      help="print the effective config and exit")
 
-    command("partition", "write the client partition and a summary", *_SHARED_FLAGS)
-
-    rep = command("report", "build result tables from trial logs",
-                  "--config", "--out-dir", "--seed")
-    rep.add_argument("log_dir", nargs="?", help="directory of *.jsonl trial logs")
+    rep = command("report", "build result tables from trial logs", "--config", "--seed")
+    rep.add_argument("log_dir", nargs="?", help="directory of *.jsonl trial logs "
+                     "(default: the config's out_dir)")
 
     fetch = command("fetch-data", "download MNIST with checksum checks", "--config", "--data-dir")
     fetch.add_argument("--mirror", default=datamod.DEFAULT_MIRROR)
@@ -88,12 +82,10 @@ def _effective_config(args) -> cfgmod.ExperimentConfig:
         cfg = replace(cfg, fed=replace(cfg.fed, parallel_clients=args.parallel_clients))
     if flag("seed") is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    data_dir = flag("data_dir") or os.environ.get("KANFED_DATA_DIR")
-    if data_dir:
-        cfg = replace(cfg, data_dir=data_dir)
-    out_dir = flag("out_dir") or os.environ.get("KANFED_OUT_DIR")
-    if out_dir:
-        cfg = replace(cfg, out_dir=out_dir)
+    if flag("data_dir"):
+        cfg = replace(cfg, data_dir=args.data_dir)
+    if flag("out_dir"):
+        cfg = replace(cfg, out_dir=args.out_dir)
     return cfg
 
 
@@ -158,26 +150,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_partition(args) -> int:
-    cfg = _effective_config(args)
-    train, _ = datamod.load_mnist(cfg.data_dir)
-    parts = datamod.pathological_partition(
-        train, cfg.n_clients, cfg.labels_per_client, RngStream(cfg.master_seed)
-    )
-    datamod.check_partition(parts, len(train), cfg.labels_per_client)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = datamod.partition_report(parts, train)
-    datamod.write_partition_csv(rows, out / "partition.csv")
-    datamod.write_partition_json(parts, out / "partition.json")
-    sizes = np.array([len(p) for p in parts])
-    print(
-        f"{len(parts)} clients, sizes min={sizes.min()} max={sizes.max()} "
-        f"mean={sizes.mean():.1f}"
-    )
-    return EXIT_OK
-
-
 def cmd_report(args) -> int:
     cfg = _effective_config(args)
     log_dir = args.log_dir or cfg.out_dir
@@ -197,7 +169,6 @@ def cmd_fetch_data(args) -> int:
 
 _COMMANDS = {
     "run": cmd_run,
-    "partition": cmd_partition,
     "report": cmd_report,
     "fetch-data": cmd_fetch_data,
 }

@@ -23,10 +23,8 @@ MNIST).
 
 from __future__ import annotations
 
-import csv
 import gzip
 import hashlib
-import json
 import mmap
 import os
 import shutil
@@ -325,36 +323,6 @@ def check_partition(parts: list[ClientPartition], n_total: int, labels_per_clien
         seen[p.indices] = True
     if not seen.all():
         raise InternalError(f"{int((~seen).sum())} samples unassigned")
-
-
-def partition_report(parts: list[ClientPartition], ds: Dataset) -> list[tuple[int, int, int]]:
-    """Rows of (client_id, label, count) for every label a client holds."""
-    rows = []
-    for p in parts:
-        labs, counts = np.unique(ds.labels[p.indices], return_counts=True)
-        for lab, cnt in zip(labs, counts):
-            rows.append((p.client_id, int(lab), int(cnt)))
-    return rows
-
-
-def write_partition_csv(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["client_id", "label", "count"])
-        w.writerows(rows)
-
-
-def write_partition_json(parts: list[ClientPartition], path) -> None:
-    """Exact index map for replaying a partition."""
-    payload = {
-        str(p.client_id): {
-            "labels": sorted(p.label_set),
-            "indices": p.indices.tolist(),
-        }
-        for p in parts
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f)
 
 
 def fetch_mnist(dest_dir, base_url: str = DEFAULT_MIRROR) -> None:

@@ -104,6 +104,10 @@ def read_logs(path) -> TrialSummary:
             if missing:
                 raise DataError(f"{path}: line {lineno} lacks {', '.join(missing)}")
             if "round" in obj:
+                # the report reads round k from the k-th record, so rounds run 1..n in order
+                if obj["round"] != len(records) + 1:
+                    raise DataError(f"{path}: line {lineno} is round {obj['round']}, "
+                                    f"expected round {len(records) + 1}")
                 records.append(RoundRecord(**{k: obj[k] for k in keys}))
             else:
                 summary = obj

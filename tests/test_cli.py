@@ -16,8 +16,10 @@ from kanfed.config import (
     load_config,
 )
 from kanfed.errors import ConfigurationError
-from kanfed.federation import FederationConfig
-from kanfed.metrics import read_logs, scan_logs, strip_timing
+from kanfed.federation import FederationConfig, run_trial
+from kanfed.metrics import read_logs, scan_logs, strip_timing, write_logs
+from kanfed.models import default_config
+from kanfed.numerics import RngStream
 
 from conftest import make_synth_dataset
 
@@ -171,6 +173,23 @@ class TestRun:
         assert run_cli(*args) == 0
         assert "skip" in capsys.readouterr().out
         assert log.read_bytes() == before
+
+    def test_log_seed_names_the_split(self, synth_idx_dir, tmp_path):
+        # the summary seed rebuilds the trial's split; retraining on it
+        # reproduces the log
+        out_dir = tmp_path / "runs"
+        assert run_cli(
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir), "--seed", "5",
+        ) == 0
+        log = out_dir / "mlp_trial00.jsonl"
+        seed = read_logs(log).seed
+        train, test = data.load_mnist(synth_idx_dir)
+        parts = data.pathological_partition(train, 100, 2, RngStream(seed))
+        fed = FederationConfig(n_rounds=1)
+        trial = run_trial(default_config("mlp"), fed, train, test, parts, seed, trial_id="mlp:0")
+        write_logs(trial, tmp_path / "again.jsonl")
+        assert strip_timing(tmp_path / "again.jsonl") == strip_timing(log)
 
     def test_rerun_of_removed_log_listed_once(self, synth_idx_dir, tmp_path, capsys):
         out_dir = tmp_path / "runs"
@@ -357,11 +376,25 @@ class TestRun:
             run_cli("run", "--preset", "bogus")
         assert e.value.code == 1
 
+    def test_partition_subcommand_gone_exit_1(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run_cli("partition")
+        assert e.value.code == 1
+        assert "invalid choice: 'partition'" in capsys.readouterr().err
+
+    def test_env_does_not_set_directories(self, monkeypatch, capsys):
+        # a directory comes from its flag, then the config file, then the default
+        monkeypatch.setenv("KANFED_DATA_DIR", "env-data")
+        monkeypatch.setenv("KANFED_OUT_DIR", "env-runs")
+        assert run_cli("run", "--dump-config") == 0
+        assert capsys.readouterr().out == dump_config(ExperimentConfig())
+
 
 @pytest.mark.parametrize("argv", [
     ("fetch-data", "--out-dir", "d"),
     ("fetch-data", "--seed", "3"),
     ("report", "--data-dir", "x"),
+    ("report", "--out-dir", "x"),
 ])
 def test_flag_the_subcommand_ignores_exit_1(tmp_path, capsys, argv):
     # each subcommand declares only the shared flags it reads, so one it
@@ -373,18 +406,6 @@ def test_flag_the_subcommand_ignores_exit_1(tmp_path, capsys, argv):
         run_cli(command, *rest, flag, value)
     assert e.value.code == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
-
-
-class TestPartition:
-    def test_partition_outputs(self, synth_idx_dir, tmp_path, capsys):
-        out_dir = tmp_path / "p"
-        assert run_cli(
-            "partition", "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir)
-        ) == 0
-        assert (out_dir / "partition.csv").exists()
-        assert (out_dir / "partition.json").exists()
-        out = capsys.readouterr().out
-        assert "mean=60.0" in out  # 6,000 samples over 100 clients
 
 
 class TestReport:

@@ -13,11 +13,8 @@ from kanfed.data import (
     check_partition,
     load_idx,
     load_mnist,
-    partition_report,
     pathological_partition,
     write_idx,
-    write_partition_csv,
-    write_partition_json,
 )
 from kanfed.errors import ConfigurationError, DataError
 from kanfed.numerics import RngStream
@@ -255,28 +252,6 @@ class TestPartition:
             totals[labs] += counts
         expected = np.bincount(mnist_shaped_labels.labels, minlength=10)
         assert np.array_equal(totals, expected)
-
-
-class TestPartitionReport:
-    def test_conservation(self, mnist_shaped_labels, tmp_path):
-        parts = pathological_partition(
-            mnist_shaped_labels, n_clients=100, labels_per_client=2, rng=RngStream(2)
-        )
-        rows = partition_report(parts, mnist_shaped_labels)
-        by_client = {}
-        by_label = {}
-        for cid, lab, cnt in rows:
-            by_client[cid] = by_client.get(cid, 0) + cnt
-            by_label[lab] = by_label.get(lab, 0) + cnt
-        for p in parts:
-            assert by_client[p.client_id] == len(p)
-        expected = np.bincount(mnist_shaped_labels.labels, minlength=10)
-        for lab in range(10):
-            assert by_label[lab] == expected[lab]
-        write_partition_csv(rows, tmp_path / "p.csv")
-        write_partition_json(parts, tmp_path / "p.json")
-        assert (tmp_path / "p.csv").stat().st_size > 0
-        assert (tmp_path / "p.json").stat().st_size > 0
 
 
 class TestLoadMnistDir:

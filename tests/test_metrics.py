@@ -143,6 +143,22 @@ class TestLogs:
         assert cli.main(["report", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order, message", [
+        ((1, 0, 2), "line 1 is round 2, expected round 1"),
+        ((0, 0, 2), "line 2 is round 1, expected round 2"),
+    ], ids=["swapped_round", "repeated_round"])
+    def test_rounds_out_of_order_is_data_error(self, tmp_path, capsys, order, message):
+        # the report reads round k from the k-th record, so any other order
+        # would report one round's accuracy under another's number
+        path = tmp_path / "t.jsonl"
+        write_logs(make_trial(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[i] for i in order] + lines[3:]) + "\n")
+        with pytest.raises(DataError, match=message):
+            read_logs(path)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_line_layout_pinned(self, tmp_path):
         record = RoundRecord(round=1, test_acc=0.5, test_loss=1.25, train_acc=0.75,
                              train_loss=0.1, sampled_clients=[3, 7], elapsed_s=2.5)
