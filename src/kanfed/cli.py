@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import data as datamod
-from . import metrics, stats
+from . import metrics, numerics, stats
 from .errors import ConfigurationError, DataError, KanfedError
-from .federation import run_trial
+from .federation import process_count, run_trial
 from .models import default_config
 from .numerics import RngStream
 
@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--models", help="comma-separated subset of mlp,spline_kan,rbf_kan")
     run.add_argument("--trials", type=int, help="trials per model")
     run.add_argument("--rounds", type=int, help="federated rounds per trial")
-    run.add_argument("--parallel-clients", type=int, help="client threads per round")
     run.add_argument("--dump-config", action="store_true",
                      help="print the effective config and exit")
 
@@ -78,13 +77,11 @@ def _effective_config(args) -> cfgmod.ExperimentConfig:
         cfg = replace(cfg, trials_per_model=args.trials)
     if flag("rounds") is not None:
         cfg = replace(cfg, fed=replace(cfg.fed, n_rounds=args.rounds))
-    if flag("parallel_clients") is not None:
-        cfg = replace(cfg, fed=replace(cfg.fed, parallel_clients=args.parallel_clients))
     if flag("seed") is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if flag("data_dir"):
+    if flag("data_dir") is not None:
         cfg = replace(cfg, data_dir=args.data_dir)
-    if flag("out_dir"):
+    if flag("out_dir") is not None:
         cfg = replace(cfg, out_dir=args.out_dir)
     return cfg
 
@@ -120,6 +117,9 @@ def cmd_run(args) -> int:
             f"({', '.join(keys)}); resume with the same settings or use a new --out-dir"
         )
     manifest["config"] = effective
+    # neither changes the logs; they say how the run used this machine
+    manifest["workers"] = process_count(cfg.fed.clients_per_round(cfg.n_clients)) - 1
+    manifest["blas_threads"] = numerics.BLAS_THREADS
     train, test = datamod.load_mnist(cfg.data_dir)
     out.mkdir(parents=True, exist_ok=True)
     for kind in cfg.models:

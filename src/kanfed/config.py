@@ -39,6 +39,9 @@ class ExperimentConfig:
         for name in ("trials_per_model", "n_clients"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        for name in ("data_dir", "out_dir"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name} must be a path, got an empty one")
         if not 1 <= self.labels_per_client <= N_CLASSES:
             raise ConfigurationError(
                 f"labels_per_client must be in [1, {N_CLASSES}], got {self.labels_per_client}")

@@ -7,19 +7,29 @@ the clients' momentum step, `sgd_momentum_step`, taken on that mean delta as a
 pseudo-gradient (FedAvgM). Client optimizer state never survives a round;
 server momentum persists for the whole trial.
 
+A trial trains each round's clients on every CPU the process may use: it
+forks one worker per further CPU (`process_count`), and the parent and the
+workers each train a share of the sampled clients. Aggregation, the server
+step and evaluation stay in the parent.
+
 Determinism contract: every random decision comes from a substream keyed by
-(seed, round, client), and aggregation always runs in client-id order, so
-parallel client execution is bit-identical to serial.
+(seed, round, client), each process runs BLAS on one thread, and the round
+sums and aggregation run in client-id order, so the logs do not depend on
+which process trained a client, nor on how many processes there are.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .data import ClientPartition, Dataset
 from .errors import ConfigurationError, InternalError
 from .metrics import RoundRecord, TrialSummary, evaluate
@@ -36,14 +46,19 @@ class FederationConfig:
     lr: float = 0.1
     client_momentum: float = 0.9
     server_momentum: float = 0.9
+    # only 1: kept so that callers passing it and run dirs recording it still work
     parallel_clients: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.clients_per_round_fraction <= 1.0:
             raise ConfigurationError("clients_per_round_fraction must be in (0, 1]")
-        for name in ("n_rounds", "local_epochs", "batch_size", "parallel_clients"):
+        for name in ("n_rounds", "local_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.parallel_clients != 1:
+            raise ConfigurationError(
+                f"parallel_clients must be 1, got {self.parallel_clients}: "
+                "a round's clients train on every usable CPU")
         # the negated comparisons also reject NaN
         for name, high, rule in (("lr", np.inf, "finite and >= 0"),
                                  ("client_momentum", 1.0, "in [0, 1)"),
@@ -51,6 +66,9 @@ class FederationConfig:
             value = getattr(self, name)
             if not 0.0 <= value < high:
                 raise ConfigurationError(f"{name} must be {rule}, got {value}")
+
+    def clients_per_round(self, n_clients: int) -> int:
+        return max(1, round(n_clients * self.clients_per_round_fraction))
 
 
 @dataclass
@@ -144,6 +162,84 @@ def server_step(
     return state
 
 
+def process_count(n_sampled: int) -> int:
+    """Processes that train a round's n_sampled clients: one per CPU this
+    process may use, at most one per client. One where BLAS is unpinned,
+    since its thread count could then differ between processes."""
+    if numerics.BLAS_THREADS == "unpinned":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_sampled))
+
+
+def _client_worker(conn, parent_ends, model, partitions, train, fed_cfg, rng) -> None:
+    """Until EOF, train the clients the parent sends from the global params it
+    sends; send back their `ClientUpdate`s, up to the first exception raised,
+    and that exception."""
+    for end in parent_ends:  # else the parent's EOF never reaches this process
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
+    while True:
+        try:
+            rnd, share = conn.recv()
+        except EOFError:
+            return
+        conn.recv_bytes_into(model.params)
+        # a delta outgrows the pipe's buffer, so sending one would wait for the
+        # parent to read, and the parent reads only after training its own share
+        updates = []
+        for cid in share:
+            try:
+                updates.append(local_train(model, partitions[cid], train, fed_cfg,
+                                           rng.child("local", str(rnd), str(cid))))
+            except Exception as e:
+                updates.append(e)
+                break
+        for update in updates:
+            conn.send(update)
+
+
+@contextmanager
+def _forked_workers(n: int, *state):
+    """n forked `_client_worker`s, each behind one end of a pipe; killed and
+    joined on every way out of the block."""
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for _ in range(n):
+            parent_end, child_end = ctx.Pipe()
+            conns.append(parent_end)
+            proc = ctx.Process(target=_client_worker, args=(child_end, list(conns), *state))
+            proc.start()
+            procs.append(proc)
+            child_end.close()  # else a dead worker's pipe never reads as EOF here
+        yield conns
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _send(conn, rnd: int, share: list[int], params: np.ndarray) -> None:
+    try:
+        conn.send((rnd, share))
+        conn.send_bytes(params)
+    except OSError:
+        raise InternalError("a client worker exited before its round") from None
+
+
+def _receive(conn) -> ClientUpdate:
+    try:
+        got = conn.recv()
+    except (EOFError, OSError):
+        raise InternalError("a client worker exited mid-round") from None
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
 def run_trial(
     model_config: ModelConfig,
     fed_cfg: FederationConfig,
@@ -162,46 +258,45 @@ def run_trial(
         momentum_buf=np.zeros(len(global_model.params)),
     )
     n_clients = len(partitions)
-    n_sampled = max(1, round(n_clients * fed_cfg.clients_per_round_fraction))
+    n_sampled = fed_cfg.clients_per_round(n_clients)
+    n_procs = process_count(n_sampled)
     records = []
-    for rnd in range(1, fed_cfg.n_rounds + 1):
-        r0 = time.perf_counter()
-        sampled = sample_clients(n_clients, n_sampled, rnd, rng)
+    with _forked_workers(n_procs - 1, global_model, partitions, train, fed_cfg, rng) as workers:
+        for rnd in range(1, fed_cfg.n_rounds + 1):
+            r0 = time.perf_counter()
+            sampled = sample_clients(n_clients, n_sampled, rnd, rng)
+            # the parent trains shares[0], worker k shares[k + 1], all at once
+            shares = [sampled[k::n_procs] for k in range(n_procs)]
+            for conn, share in zip(workers, shares[1:]):
+                _send(conn, rnd, share, global_model.params)
+            updates = [
+                local_train(global_model, partitions[cid], train, fed_cfg,
+                            rng.child("local", str(rnd), str(cid)))
+                for cid in shares[0]
+            ]
+            updates += [_receive(conn) for conn, share in zip(workers, shares[1:])
+                        for _ in share]
+            updates.sort(key=lambda u: u.client_id)
 
-        def train_one(cid: int) -> ClientUpdate:
-            return local_train(
-                server.global_model,
-                partitions[cid],
-                train,
-                fed_cfg,
-                rng.child("local", str(rnd), str(cid)),
+            pseudo_gradient = aggregate(updates)
+            server_step(server, pseudo_gradient, fed_cfg.server_momentum)
+
+            total_n = sum(u.n_samples for u in updates)
+            train_loss = sum(u.train_loss * u.n_samples for u in updates) / total_n
+            train_acc = sum(u.train_acc * u.n_samples for u in updates) / total_n
+            del updates, pseudo_gradient  # evaluation holds no client delta
+            test_acc, test_loss = evaluate(global_model, test)
+            records.append(
+                RoundRecord(
+                    round=rnd,
+                    test_acc=test_acc,
+                    test_loss=test_loss,
+                    train_acc=train_acc,
+                    train_loss=train_loss,
+                    elapsed_s=time.perf_counter() - r0,
+                    sampled_clients=sampled,
+                )
             )
-
-        if fed_cfg.parallel_clients > 1:
-            with ThreadPoolExecutor(max_workers=fed_cfg.parallel_clients) as pool:
-                updates = list(pool.map(train_one, sampled))
-        else:
-            updates = [train_one(cid) for cid in sampled]
-
-        pseudo_gradient = aggregate(updates)
-        server_step(server, pseudo_gradient, fed_cfg.server_momentum)
-
-        total_n = sum(u.n_samples for u in updates)
-        train_loss = sum(u.train_loss * u.n_samples for u in updates) / total_n
-        train_acc = sum(u.train_acc * u.n_samples for u in updates) / total_n
-        del updates, pseudo_gradient  # evaluation holds no client delta
-        test_acc, test_loss = evaluate(server.global_model, test)
-        records.append(
-            RoundRecord(
-                round=rnd,
-                test_acc=test_acc,
-                test_loss=test_loss,
-                train_acc=train_acc,
-                train_loss=train_loss,
-                elapsed_s=time.perf_counter() - r0,
-                sampled_clients=sampled,
-            )
-        )
     return TrialSummary(
         trial_id=trial_id,
         model=model_config.kind,

@@ -2,18 +2,49 @@
 
 Everything here works on float64 numpy arrays and is bit-deterministic:
 identical inputs give identical outputs on every run with the same numpy/BLAS
-build and the same number of BLAS threads (OpenBLAS splits a matrix product
-differently on 1 and on 2 threads). Matrices are plain 2-D ``np.ndarray``
-with dtype float64, row-major.
+build. OpenBLAS splits a matrix product differently on 1 and on 2 threads, so
+importing this module sets the OpenBLAS that numpy loaded to one thread
+(`BLAS_THREADS`), whatever `OPENBLAS_NUM_THREADS` says. Matrices are plain
+2-D ``np.ndarray`` with dtype float64, row-major.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, InternalError
+
+# the thread-count setters of the OpenBLAS builds numpy ships or links against
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def pin_blas_threads() -> int | str:
+    """Set the OpenBLAS that numpy loaded to one thread; returns 1.
+
+    Returns "unpinned" where no OpenBLAS with one of `OPENBLAS_SETTERS` is
+    mapped into the process (another BLAS, or no /proc/self/maps to find it
+    in): its thread count, and with it the logs, is then left to the BLAS.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return "unpinned"
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return 1
+    return "unpinned"
+
+
+BLAS_THREADS = pin_blas_threads()
 
 
 class RngStream:

@@ -1,13 +1,17 @@
 import gzip
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from kanfed import cli, data
+from kanfed import cli, data, numerics
 from kanfed.cli import main
 from kanfed.config import (
     ExperimentConfig,
@@ -46,7 +50,7 @@ class TestConfig:
     def test_dump_text_pinned(self):
         fed = FederationConfig(n_rounds=7, clients_per_round_fraction=0.25, local_epochs=2,
                                batch_size=32, lr=0.05, client_momentum=0.5,
-                               server_momentum=0.8, parallel_clients=2)
+                               server_momentum=0.8)
         cfg = ExperimentConfig(models=("rbf_kan", "mlp"), trials_per_model=4, master_seed=9,
                                data_dir="d d", out_dir="o", n_clients=50,
                                labels_per_client=3, fed=fed)
@@ -65,7 +69,7 @@ class TestConfig:
             "fed.lr = 0.05\n"
             "fed.client_momentum = 0.5\n"
             "fed.server_momentum = 0.8\n"
-            "fed.parallel_clients = 2\n"
+            "fed.parallel_clients = 1\n"
         )
         assert load_config(dump_config(cfg)) == cfg
 
@@ -95,8 +99,8 @@ class TestConfig:
         "fed.server_momentum = -0.1", "fed.server_momentum = nan",
         "n_clients = -3", "n_clients = 0",
         "labels_per_client = 0", "labels_per_client = 11",
-        "fed.parallel_clients = 0", "fed.parallel_clients = -2",
-        "models = ", "models = mlp,mlp",
+        "fed.parallel_clients = 0", "fed.parallel_clients = -2", "fed.parallel_clients = 2",
+        "models = ", "models = mlp,mlp", "data_dir = ", "out_dir = ''",
     ])
     def test_nonsense_value_rejected(self, line):
         key = line.partition(" =")[0].removeprefix("fed.")
@@ -173,6 +177,21 @@ class TestRun:
         assert run_cli(*args) == 0
         assert "skip" in capsys.readouterr().out
         assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("blas, workers", [(1, 3), ("unpinned", 0)])
+    def test_manifest_records_workers_and_blas_threads(self, synth_idx_dir, tmp_path,
+                                                       monkeypatch, blas, workers):
+        # four usable CPUs: three workers beside the parent, or none where BLAS
+        # is unpinned, since its thread count could then differ between them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(numerics, "BLAS_THREADS", blas)
+        out_dir = tmp_path / "runs"
+        assert run_cli(
+            "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
+            "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir),
+        ) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["blas_threads"]) == (workers, blas)
 
     def test_log_seed_names_the_split(self, synth_idx_dir, tmp_path):
         # the summary seed rebuilds the trial's split; retraining on it
@@ -357,14 +376,27 @@ class TestRun:
         assert ("usage error: labels_per_client must be in [1, 10], got 11"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("flag", [("--parallel-clients", "parallel_clients"),
-                                      ("--trials", "trials_per_model"),
+    @pytest.mark.parametrize("flag", [("--trials", "trials_per_model"),
                                       ("--rounds", "n_rounds")])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_flag_exit_1(self, capsys, flag, value):
         # a zero flag is applied and refused, not dropped as if it were absent
         assert run_cli("run", "--dump-config", flag[0], value) == 1
         assert f"usage error: {flag[1]} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--data-dir", "--out-dir"])
+    def test_empty_dir_flag_exit_1(self, capsys, flag):
+        # an empty path is applied and refused, not dropped as if it were absent
+        assert run_cli("run", "--dump-config", flag, "") == 1
+        name = flag[2:].replace("-", "_")
+        assert f"usage error: {name} must be a path, got an empty one" in capsys.readouterr().err
+
+    def test_parallel_clients_flag_gone_exit_1(self, capsys):
+        # a round's clients train on every usable CPU; there is no count to set
+        with pytest.raises(SystemExit) as e:
+            run_cli("run", "--dump-config", "--parallel-clients", "1")
+        assert e.value.code == 1
+        assert "unrecognized arguments: --parallel-clients" in capsys.readouterr().err
 
     def test_empty_models_flag_exit_1(self, capsys):
         # an empty list is applied and refused, not dropped as if it were absent
@@ -388,6 +420,51 @@ class TestRun:
         monkeypatch.setenv("KANFED_OUT_DIR", "env-runs")
         assert run_cli("run", "--dump-config") == 0
         assert capsys.readouterr().out == dump_config(ExperimentConfig())
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# `kanfed run ARGS` in a new process; with "1" first, on one usable CPU
+RUN_IN_CHILD = """import os, sys
+if sys.argv[1] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from kanfed.cli import main
+sys.exit(main(["run"] + sys.argv[2:]))
+"""
+
+
+@pytest.fixture(scope="module")
+def child_runs(synth_idx_dir, tmp_path_factory):
+    """One short MLP trial, run by three new processes: OPENBLAS_NUM_THREADS
+    1 and 2 on every usable CPU, and 2 on one CPU. Each gives its log,
+    timing stripped, and its manifest."""
+    out = {}
+    for blas, one_cpu in (("1", False), ("2", False), ("2", True)):
+        out_dir = tmp_path_factory.mktemp(f"blas{blas}-{'one' if one_cpu else 'all'}")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": str(SRC)}
+        subprocess.run(
+            [sys.executable, "-c", RUN_IN_CHILD, "1" if one_cpu else "all",
+             "--models", "mlp", "--trials", "1", "--rounds", "2", "--seed", "3",
+             "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir)],
+            env=env, check=True, timeout=300,
+        )
+        out[blas, one_cpu] = (strip_timing(out_dir / "mlp_trial00.jsonl"),
+                              json.loads((out_dir / "manifest.json").read_text()))
+    return out
+
+
+def test_logs_independent_of_blas_thread_env(child_runs):
+    # kanfed sets BLAS to one thread itself; OpenBLAS splits a product
+    # differently on 1 and on 2 threads, so without that these logs differ
+    one, two = child_runs["1", False], child_runs["2", False]
+    assert one[0] == two[0]
+    assert one[1]["blas_threads"] == two[1]["blas_threads"] == 1
+
+
+def test_logs_independent_of_worker_count(child_runs):
+    (all_log, all_manifest), (one_log, one_manifest) = child_runs["2", False], child_runs["2", True]
+    assert one_log == all_log
+    assert one_manifest["workers"] == 0
+    assert all_manifest["workers"] == min(len(os.sched_getaffinity(0)), 10) - 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+import sys
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
@@ -6,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from kanfed import federation
+from kanfed import federation, numerics
 from kanfed.data import ClientPartition, pathological_partition
 from kanfed.errors import InternalError
 from kanfed.federation import (
@@ -15,6 +19,7 @@ from kanfed.federation import (
     ServerState,
     aggregate,
     local_train,
+    process_count,
     run_trial,
     sample_clients,
     server_step,
@@ -322,36 +327,35 @@ class TestRunTrial:
         records = [[repr({**asdict(r), "elapsed_s": None}) for r in run.records] for run in runs]
         assert len(records[0]) == 2 and records[0] == records[1]
 
-    def test_parallel_matches_serial(self, small_data):
+    def test_parallel_matches_serial(self, small_data, monkeypatch):
+        # one process, then the parent and three forked workers: the same records
         train, test = small_data
         parts = pathological_partition(train, 10, 2, RngStream(13))
-        serial = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.5)
-        parallel = FederationConfig(
-            n_rounds=2, local_epochs=1, clients_per_round_fraction=0.5, parallel_clients=4
-        )
-        a = run_trial(small_model(), serial, train, test, parts, 14, "s")
-        b = run_trial(small_model(), parallel, train, test, parts, 14, "p")
-        for ra, rb in zip(a.records, b.records):
-            assert ra.test_acc == rb.test_acc
-            assert ra.test_loss == rb.test_loss
-            assert ra.train_loss == rb.train_loss
+        fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.5)
+        runs = []
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert process_count(5) == len(cpus)
+            trial = run_trial(small_model(), fed, train, test, parts, 14, "s")
+            runs.append([repr({**asdict(r), "elapsed_s": None}) for r in trial.records])
+            assert multiprocessing.active_children() == []
+        assert len(runs[0]) == 2 and runs[0] == runs[1]
 
-    @pytest.mark.parametrize("parallel_clients", [1, 2])
-    def test_no_client_update_alive_during_evaluate(self, small_data, monkeypatch,
-                                                    parallel_clients):
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_no_client_update_alive_during_evaluate(self, small_data, monkeypatch, processes):
         train, test = small_data
         parts = pathological_partition(train, 10, 2, RngStream(17))
-        fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.3,
-                               parallel_clients=parallel_clients)
+        fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+        # aggregate sees every update of the round, the workers' included;
         # ClientUpdate is an unhashable dataclass, so weak references, not a WeakSet
         updates = []
         evaluated = []
-        local_train, evaluate = federation.local_train, federation.evaluate
+        aggregate, evaluate = federation.aggregate, federation.evaluate
 
-        def recording_local_train(*args):
-            update = local_train(*args)
-            updates.append(weakref.ref(update))
-            return update
+        def recording_aggregate(round_updates):
+            updates.extend(weakref.ref(u) for u in round_updates)
+            return aggregate(round_updates)
 
         def checking_evaluate(*args):
             alive = sum(ref() is not None for ref in updates)
@@ -359,7 +363,102 @@ class TestRunTrial:
             evaluated.append(True)
             return evaluate(*args)
 
-        monkeypatch.setattr(federation, "local_train", recording_local_train)
+        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
         monkeypatch.setattr(federation, "evaluate", checking_evaluate)
         run_trial(small_model(), fed, train, test, parts, 18, "w")
-        assert len(evaluated) == 2
+        assert len(evaluated) == 2 and len(updates) == 2 * 3
+
+
+def four_clients(train, empty_id=None):
+    """Four clients over the train split; client empty_id, if any, holds nothing."""
+    chunks = np.array_split(np.arange(len(train)), 4 if empty_id is None else 3)
+    if empty_id is not None:
+        chunks.insert(empty_id, np.array([], dtype=np.int64))
+    return [ClientPartition(client_id=c, indices=ix, label_set=frozenset(train.labels[ix]))
+            for c, ix in enumerate(chunks)]
+
+
+class TestWorkers:
+    """The parent trains clients 0 and 2 of four; one forked worker trains 1 and 3."""
+
+    FED = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=1.0)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def hung(signum, frame):
+            raise TimeoutError("run_trial still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("empty_id", [1, 2])
+    def test_worker_error_raised_in_parent(self, small_data, empty_id):
+        # client 1 fails in the worker, client 2 in the parent: the same error
+        train, test = small_data
+        parts = four_clients(train, empty_id)
+        with pytest.raises(InternalError, match=f"^client {empty_id} has no data$"):
+            run_trial(small_model(), self.FED, train, test, parts, 19)
+
+    def test_worker_killed_mid_round_raises(self, small_data, monkeypatch):
+        train, test = small_data
+        parent = os.getpid()
+        local_train = federation.local_train
+
+        def dying_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return local_train(*args)
+
+        monkeypatch.setattr(federation, "local_train", dying_in_worker)
+        with pytest.raises(InternalError, match="worker exited mid-round"):
+            run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
+
+    def test_worker_killed_between_rounds_raises(self, small_data, monkeypatch):
+        train, test = small_data
+        evaluate = federation.evaluate
+
+        def killing_evaluate(*args):
+            (worker,) = multiprocessing.active_children()
+            worker.kill()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            return evaluate(*args)
+
+        monkeypatch.setattr(federation, "evaluate", killing_evaluate)
+        with pytest.raises(InternalError, match="worker exited before its round"):
+            run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
+
+    def test_sigterm_in_parent_ends_workers(self, small_data, monkeypatch):
+        # a SIGTERM handler that exits, as the benchmark installs, mid-trial
+        train, test = small_data
+        monkeypatch.setattr(federation, "evaluate",
+                            lambda *args: os.kill(os.getpid(), signal.SIGTERM))
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+        try:
+            with pytest.raises(SystemExit):
+                run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_unpinned_blas_trains_in_one_process(self, small_data, monkeypatch):
+        train, test = small_data
+        monkeypatch.setattr(numerics, "BLAS_THREADS", "unpinned")
+        assert process_count(4) == 1
+        trained = []
+        local_train = federation.local_train
+
+        def recording_local_train(model, part, *args):
+            trained.append(part.client_id)
+            return local_train(model, part, *args)
+
+        monkeypatch.setattr(federation, "local_train", recording_local_train)
+        run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
+        assert trained == [0, 1, 2, 3] * 2

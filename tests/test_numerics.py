@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kanfed import numerics
 from kanfed.errors import DataError, InternalError
 from kanfed.numerics import (
     SGD_BLOCK,
@@ -187,3 +188,13 @@ class TestSumLastAxis:
     def test_other_widths_raise(self, shape):
         with pytest.raises(ValueError):
             sum_last_axis(np.ones(shape))
+
+
+class TestBlasPin:
+    def test_bundled_openblas_pinned(self):
+        # numpy's wheels bundle an OpenBLAS whose setter is in OPENBLAS_SETTERS
+        assert numerics.BLAS_THREADS == numerics.pin_blas_threads() == 1
+
+    def test_no_setter_unpinned(self, monkeypatch):
+        monkeypatch.setattr(numerics, "OPENBLAS_SETTERS", ("no_such_setter",))
+        assert numerics.pin_blas_threads() == "unpinned"
