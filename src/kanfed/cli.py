@@ -152,7 +152,9 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _effective_config(args)
-    log_dir = args.log_dir or cfg.out_dir
+    log_dir = cfg.out_dir if args.log_dir is None else args.log_dir
+    if not log_dir:
+        raise ConfigurationError("LOG_DIR must be a path, got an empty one")
     groups = metrics.scan_logs(log_dir)
     report = stats.report_tables(groups, rng=RngStream(cfg.master_seed, ("report",)))
     stats.write_report_csv(report, Path(log_dir) / "report")

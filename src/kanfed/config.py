@@ -82,8 +82,8 @@ def load_config(text: str) -> ExperimentConfig:
     fed: dict = {}
     seen: dict[str, int] = {}  # line number of each key
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):  # a `#` later on is part of the value
             continue
         if "=" not in line:
             raise ConfigurationError(f"config line {lineno}: expected 'key = value'")

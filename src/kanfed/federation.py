@@ -9,13 +9,15 @@ server momentum persists for the whole trial.
 
 A trial trains each round's clients on every CPU the process may use: it
 forks one worker per further CPU (`process_count`), and the parent and the
-workers each train a share of the sampled clients. Aggregation, the server
+workers each train a share of the sampled clients through `_train_share`.
+Each round the parent sends each worker one message, (round, share, global
+params), and gets one back, the share's updates. Aggregation, the server
 step and evaluation stay in the parent.
 
 Determinism contract: every random decision comes from a substream keyed by
-(seed, round, client), each process runs BLAS on one thread, and the round
-sums and aggregation run in client-id order, so the logs do not depend on
-which process trained a client, nor on how many processes there are.
+(seed, round, client), each process runs BLAS on one thread, and `aggregate`
+sums the round in client-id order, so the logs do not depend on which process
+trained a client, nor on how many processes there are.
 """
 
 from __future__ import annotations
@@ -138,18 +140,22 @@ def local_train(
     )
 
 
-def aggregate(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-size-weighted mean of client deltas (the pseudo-gradient)."""
+def aggregate(updates: list[ClientUpdate]) -> tuple[np.ndarray, float, float]:
+    """Sample-size-weighted means over the clients in id order: the client
+    delta (the pseudo-gradient), the train loss and the train accuracy."""
     if not updates:
         raise InternalError("aggregate needs at least one update")
+    updates = sorted(updates, key=lambda u: u.client_id)
     length = len(updates[0].delta)
     if any(len(u.delta) != length for u in updates):
         raise InternalError("client deltas have inconsistent lengths")
     total = sum(u.n_samples for u in updates)
     out = np.zeros(length, dtype=np.float64)
-    for u in sorted(updates, key=lambda u: u.client_id):
+    for u in updates:
         out += (u.n_samples / total) * u.delta
-    return out
+    train_loss = sum(u.train_loss * u.n_samples for u in updates) / total
+    train_acc = sum(u.train_acc * u.n_samples for u in updates) / total
+    return out, train_loss, train_acc
 
 
 def server_step(
@@ -171,31 +177,34 @@ def process_count(n_sampled: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_sampled))
 
 
+def _train_share(model, share, rnd, partitions, train, fed_cfg, rng) -> list[ClientUpdate]:
+    """The updates of the clients in share, each trained from model's params
+    on its (round, client) substream."""
+    return [local_train(model, partitions[cid], train, fed_cfg,
+                        rng.child("local", str(rnd), str(cid)))
+            for cid in share]
+
+
 def _client_worker(conn, parent_ends, model, partitions, train, fed_cfg, rng) -> None:
-    """Until EOF, train the clients the parent sends from the global params it
-    sends; send back their `ClientUpdate`s, up to the first exception raised,
-    and that exception."""
+    """Until EOF, take one message per round, (round, share, global params),
+    and reply with one: the share's `ClientUpdate`s, or the exception that
+    training them raised. The reply waits for the whole share: a delta
+    outgrows the pipe's buffer, so sending one would block until the parent
+    reads, and the parent reads only after training its own share."""
     for end in parent_ends:  # else the parent's EOF never reaches this process
         end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
     while True:
         try:
-            rnd, share = conn.recv()
+            # the global params are copied into the forked model in place
+            rnd, share, model.params[:] = conn.recv()
         except EOFError:
             return
-        conn.recv_bytes_into(model.params)
-        # a delta outgrows the pipe's buffer, so sending one would wait for the
-        # parent to read, and the parent reads only after training its own share
-        updates = []
-        for cid in share:
-            try:
-                updates.append(local_train(model, partitions[cid], train, fed_cfg,
-                                           rng.child("local", str(rnd), str(cid))))
-            except Exception as e:
-                updates.append(e)
-                break
-        for update in updates:
-            conn.send(update)
+        try:
+            reply = _train_share(model, share, rnd, partitions, train, fed_cfg, rng)
+        except Exception as e:
+            reply = e
+        conn.send(reply)
 
 
 @contextmanager
@@ -222,15 +231,14 @@ def _forked_workers(n: int, *state):
             conn.close()
 
 
-def _send(conn, rnd: int, share: list[int], params: np.ndarray) -> None:
+def _send(conn, message) -> None:
     try:
-        conn.send((rnd, share))
-        conn.send_bytes(params)
+        conn.send(message)
     except OSError:
         raise InternalError("a client worker exited before its round") from None
 
 
-def _receive(conn) -> ClientUpdate:
+def _receive(conn) -> list[ClientUpdate]:
     try:
         got = conn.recv()
     except (EOFError, OSError):
@@ -268,22 +276,12 @@ def run_trial(
             # the parent trains shares[0], worker k shares[k + 1], all at once
             shares = [sampled[k::n_procs] for k in range(n_procs)]
             for conn, share in zip(workers, shares[1:]):
-                _send(conn, rnd, share, global_model.params)
-            updates = [
-                local_train(global_model, partitions[cid], train, fed_cfg,
-                            rng.child("local", str(rnd), str(cid)))
-                for cid in shares[0]
-            ]
-            updates += [_receive(conn) for conn, share in zip(workers, shares[1:])
-                        for _ in share]
-            updates.sort(key=lambda u: u.client_id)
-
-            pseudo_gradient = aggregate(updates)
+                _send(conn, (rnd, share, global_model.params))
+            updates = _train_share(global_model, shares[0], rnd, partitions, train, fed_cfg, rng)
+            for conn in workers:
+                updates += _receive(conn)
+            pseudo_gradient, train_loss, train_acc = aggregate(updates)
             server_step(server, pseudo_gradient, fed_cfg.server_momentum)
-
-            total_n = sum(u.n_samples for u in updates)
-            train_loss = sum(u.train_loss * u.n_samples for u in updates) / total_n
-            train_acc = sum(u.train_acc * u.n_samples for u in updates) / total_n
             del updates, pseudo_gradient  # evaluation holds no client delta
             test_acc, test_loss = evaluate(global_model, test)
             records.append(

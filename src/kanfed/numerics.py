@@ -26,16 +26,22 @@ def pin_blas_threads() -> int | str:
     """Set the OpenBLAS that numpy loaded to one thread; returns 1.
 
     Returns "unpinned" where no OpenBLAS with one of `OPENBLAS_SETTERS` is
-    mapped into the process (another BLAS, or no /proc/self/maps to find it
-    in): its thread count, and with it the logs, is then left to the BLAS.
+    mapped into the process and can be opened (another BLAS, a mapped file
+    since deleted, or no /proc/self/maps to find it in): its thread count, and
+    with it the logs, is then left to the BLAS.
     """
     try:
         with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+            # the path is the sixth field, and may hold spaces
+            paths = sorted({line.rstrip("\n").split(maxsplit=5)[5] for line in f
+                            if "openblas" in line.lower()})
     except OSError:
         return "unpinned"
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. "/x/libopenblas.so (deleted)"
+            continue
         setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS if hasattr(lib, name)), None)
         if setter is not None:
             setter.argtypes, setter.restype = [ctypes.c_int], None

@@ -137,7 +137,7 @@ def test_criterion_5_federated_equals_centralized():
     worst = 0.0
     for rnd in range(1, 4):
         upd = local_train(srv.global_model, part, train, fed, rng.child("local", str(rnd), "0"))
-        server_step(srv, aggregate([upd]), fed.server_momentum)
+        server_step(srv, aggregate([upd])[0], fed.server_momentum)
         gen = RngStream(seed).child("local", str(rnd), "0").gen
         buf = np.zeros(len(central.params))
         for _ in range(fed.local_epochs):

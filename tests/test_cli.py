@@ -43,9 +43,11 @@ class TestConfig:
         assert cfg.fed.server_momentum == 0.9
 
     def test_dump_load_round_trip(self):
+        # a line is a comment only where `#` comes first, so a path may hold one
         cfg = ExperimentConfig(master_seed=7, models=("mlp",), trials_per_model=3,
-                               fed=FederationConfig(n_rounds=30))
+                               out_dir="runs#2", fed=FederationConfig(n_rounds=30))
         assert load_config(dump_config(cfg)) == cfg
+        assert load_config("# saved\n  # by hand\n" + dump_config(cfg)) == cfg
 
     def test_dump_text_pinned(self):
         fed = FederationConfig(n_rounds=7, clients_per_round_fraction=0.25, local_epochs=2,
@@ -500,6 +502,12 @@ class TestReport:
 
     def test_report_missing_dir_exit_3(self, tmp_path):
         assert run_cli("report", str(tmp_path / "nope")) == 3
+
+    def test_empty_log_dir_exit_1(self, tmp_path, monkeypatch, capsys):
+        # an empty LOG_DIR is refused, not taken for the config's out_dir
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("report", "") == 1
+        assert "usage error: LOG_DIR must be a path, got an empty one" in capsys.readouterr().err
 
 
 class TestFetchData:

@@ -1,10 +1,13 @@
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,18 +189,21 @@ class TestAggregate:
     def test_identical_deltas(self):
         d = np.array([1.0, -2.0, 3.0])
         ups = [ClientUpdate(0, d, 600, 0, 0), ClientUpdate(1, d.copy(), 150, 0, 0)]
-        assert np.allclose(aggregate(ups), d, atol=1e-15)
+        mean, _, _ = aggregate(ups)
+        assert np.allclose(mean, d, atol=1e-15)
 
     def test_opposite_deltas_cancel(self):
         d = np.array([1.0, -2.0])
         ups = [ClientUpdate(0, d, 300, 0, 0), ClientUpdate(1, -d, 300, 0, 0)]
-        assert np.all(aggregate(ups) == 0.0)
+        mean, _, _ = aggregate(ups)
+        assert np.all(mean == 0.0)
 
     def test_weighted_mean(self):
         d1 = np.array([3.0])
         d2 = np.array([0.0])
         ups = [ClientUpdate(0, d1, 600, 0, 0), ClientUpdate(1, d2, 300, 0, 0)]
-        assert abs(aggregate(ups)[0] - 2.0) < 1e-15
+        mean, _, _ = aggregate(ups)
+        assert abs(mean[0] - 2.0) < 1e-15
 
     def test_weight_conservation(self):
         gen = RngStream(7).gen
@@ -206,12 +212,29 @@ class TestAggregate:
             for i in range(10)
         ]
         # weighted mean of all-ones vectors must be exactly ones
-        assert np.abs(aggregate(ups) - 1.0).max() < 1e-12
+        mean, _, _ = aggregate(ups)
+        assert np.abs(mean - 1.0).max() < 1e-12
 
     def test_inconsistent_lengths(self):
         ups = [ClientUpdate(0, np.zeros(3), 10, 0, 0), ClientUpdate(1, np.zeros(4), 10, 0, 0)]
         with pytest.raises(InternalError):
             aggregate(ups)
+
+    def test_sums_in_client_id_order(self):
+        # the updates of a round arrive in process order; every sum runs in
+        # client-id order, so any arrival order gives the same bits
+        gen = RngStream(9).gen
+        ups = [ClientUpdate(i, gen.standard_normal(5), int(gen.integers(100, 900)),
+                            float(gen.uniform(0, 3)), float(gen.uniform(0, 1)))
+               for i in range(10)]
+        mean, loss, acc = aggregate(ups)
+        total = sum(u.n_samples for u in ups)
+        assert loss == sum(u.train_loss * u.n_samples for u in ups) / total
+        assert acc == sum(u.train_acc * u.n_samples for u in ups) / total
+        for order in (ups[::-1], ups[1::2] + ups[::2]):
+            shuffled_mean, shuffled_loss, shuffled_acc = aggregate(order)
+            assert shuffled_mean.tobytes() == mean.tobytes()
+            assert (shuffled_loss, shuffled_acc) == (loss, acc)
 
 
 class TestServerStep:
@@ -265,7 +288,7 @@ class TestRunTrial:
         for rnd in range(1, 4):
             upd = local_train(srv.global_model, part, train, fed,
                               rng.child("local", str(rnd), "0"))
-            server_step(srv, aggregate([upd]), fed.server_momentum)
+            server_step(srv, aggregate([upd])[0], fed.server_momentum)
 
             gen = RngStream(seed).child("local", str(rnd), "0").gen
             buf = np.zeros(len(central.params))
@@ -378,6 +401,42 @@ def four_clients(train, empty_id=None):
             for c, ix in enumerate(chunks)]
 
 
+SRC, TESTS = (Path(__file__).resolve().parent.parent / d for d in ("src", "tests"))
+# a trial whose parent, with two usable CPUs, writes its worker's pid to
+# argv[1] from inside evaluate and then SIGKILLs itself
+KILLED_PARENT = """import multiprocessing, os, signal, sys
+import numpy as np
+from conftest import make_synth_dataset
+from kanfed import federation
+from kanfed.data import ClientPartition
+from kanfed.models import ModelConfig
+
+def dying_evaluate(*args):
+    (worker,) = multiprocessing.active_children()
+    with open(sys.argv[1], "w") as f:
+        f.write(str(worker.pid))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+federation.evaluate = dying_evaluate
+train, test = make_synth_dataset(600, 31), make_synth_dataset(200, 32)
+parts = [ClientPartition(client_id=c, indices=ix, label_set=frozenset(train.labels[ix]))
+         for c, ix in enumerate(np.array_split(np.arange(len(train)), 4))]
+fed = federation.FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=1.0)
+federation.run_trial(ModelConfig(kind="mlp", layer_widths=(784, 16, 10)), fed, train, test,
+                     parts, 19)
+"""
+
+
+def alive(pid):
+    """Whether process pid runs; a zombie, whose exit no process has reaped, does not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 class TestWorkers:
     """The parent trains clients 0 and 2 of four; one forked worker trains 1 and 3."""
 
@@ -399,9 +458,10 @@ class TestWorkers:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("empty_id", [1, 2])
+    @pytest.mark.parametrize("empty_id", [1, 2, 3])
     def test_worker_error_raised_in_parent(self, small_data, empty_id):
-        # client 1 fails in the worker, client 2 in the parent: the same error
+        # client 1 fails in the worker, client 2 in the parent, client 3 in the
+        # worker after client 1 trained: the same error
         train, test = small_data
         parts = four_clients(train, empty_id)
         with pytest.raises(InternalError, match=f"^client {empty_id} has no data$"):
@@ -447,6 +507,22 @@ class TestWorkers:
                 run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
         finally:
             signal.signal(signal.SIGTERM, previous)
+
+    def test_parent_killed_ends_worker(self, tmp_path):
+        # no exit path of the parent runs when it is SIGKILLed; the worker
+        # must see its pipe's EOF and leave by itself
+        pid_file = tmp_path / "worker.pid"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (SRC, TESTS)))}
+        child = subprocess.run([sys.executable, "-c", KILLED_PARENT, str(pid_file)], env=env,
+                               stdout=subprocess.DEVNULL, timeout=50)
+        assert child.returncode == -signal.SIGKILL
+        worker = int(pid_file.read_text())
+        deadline = time.monotonic() + 30
+        while alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        if alive(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("the worker outlived its SIGKILLed parent by 30 s")
 
     def test_unpinned_blas_trains_in_one_process(self, small_data, monkeypatch):
         train, test = small_data

@@ -1,4 +1,6 @@
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,4 +199,25 @@ class TestBlasPin:
 
     def test_no_setter_unpinned(self, monkeypatch):
         monkeypatch.setattr(numerics, "OPENBLAS_SETTERS", ("no_such_setter",))
+        assert numerics.pin_blas_threads() == "unpinned"
+
+    @staticmethod
+    def serve_maps(monkeypatch, path):
+        """Let pin_blas_threads read one /proc/self/maps line, which maps path."""
+        line = f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234      {path}\n"
+        monkeypatch.setattr(numerics, "open", lambda *args: io.StringIO(line), raising=False)
+
+    def test_path_with_space_pinned(self, tmp_path, monkeypatch):
+        # numpy's OpenBLAS, or scipy's where the tests have loaded it too
+        with open("/proc/self/maps") as f:
+            real = min(line.split(maxsplit=5)[5].strip() for line in f
+                       if "openblas" in line.lower())
+        link = tmp_path / "dir with space" / Path(real).name
+        link.parent.mkdir()
+        link.symlink_to(real)
+        self.serve_maps(monkeypatch, link)
+        assert numerics.pin_blas_threads() == 1
+
+    def test_deleted_library_unpinned(self, tmp_path, monkeypatch):
+        self.serve_maps(monkeypatch, f"{tmp_path / 'libscipy_openblas64_.so'} (deleted)")
         assert numerics.pin_blas_threads() == "unpinned"
