@@ -33,12 +33,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the flags that several subcommands share; each declares only those it reads
+# the flags that several subcommands share; each declares only those it reads.
+# A flag that sets a setting has the setting's dotted key as its dest, and
+# config.load_config reads its text as it reads a config line's value
 _SHARED_FLAGS = {
     "--config": {"help": "config file with flat dotted keys"},
     "--data-dir": {"help": "directory with the MNIST IDX files"},
     "--out-dir": {"help": "output directory for logs and reports"},
-    "--seed": {"type": int, "help": "master seed"},
+    "--seed": {"dest": "master_seed", "metavar": "SEED", "help": "master seed"},
 }
 
 
@@ -54,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = command("run", "run federated trials", *_SHARED_FLAGS)
     run.add_argument("--models", help="comma-separated subset of mlp,spline_kan,rbf_kan")
-    run.add_argument("--trials", type=int, help="trials per model")
-    run.add_argument("--rounds", type=int, help="federated rounds per trial")
+    run.add_argument("--trials", dest="trials_per_model", metavar="TRIALS", help="trials per model")
+    run.add_argument("--rounds", dest="fed.n_rounds", metavar="ROUNDS",
+                     help="federated rounds per trial")
     run.add_argument("--dump-config", action="store_true",
                      help="print the effective config and exit")
 
@@ -69,21 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> cfgmod.ExperimentConfig:
-    flag = vars(args).get  # None where the subcommand lacks the flag
-    cfg = cfgmod.load_config_file(args.config) if args.config else cfgmod.ExperimentConfig()
-    if flag("models") is not None:
-        cfg = replace(cfg, models=tuple(m.strip() for m in args.models.split(",") if m.strip()))
-    if flag("trials") is not None:
-        cfg = replace(cfg, trials_per_model=args.trials)
-    if flag("rounds") is not None:
-        cfg = replace(cfg, fed=replace(cfg.fed, n_rounds=args.rounds))
-    if flag("seed") is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if flag("data_dir") is not None:
-        cfg = replace(cfg, data_dir=args.data_dir)
-    if flag("out_dir") is not None:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    return cfg
+    return cfgmod.load_config(Path(args.config).read_text() if args.config else "", vars(args))
 
 
 def _load_manifest(path: Path) -> dict:

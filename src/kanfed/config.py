@@ -3,14 +3,17 @@
 Defaults are the full experiment settings (100 rounds, 15 trials per model,
 10% participation, SGD lr 0.1 momentum 0.9). `kanfed run --trials 3
 --rounds 30` shrinks the trial and round counts so a complete comparison
-fits on a CPU.
+fits on a CPU. A CLI flag that sets a setting stores its text under the
+setting's dotted key, and `load_config` reads a file's values and the
+flags' texts the same way; a flag replaces the file's line. A file value
+loses one pair of matching quotes, which `dump_config` puts around a value
+that starts or ends with a blank or a quote; a flag's text is read as it is.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .data import N_CLASSES
 from .errors import ConfigurationError
@@ -60,11 +63,14 @@ def _values(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _text(value) -> str:
+    text = ",".join(value) if isinstance(value, tuple) else str(value)
+    # quoted where the reader would otherwise drop a blank or quote off an end
+    return f'"{text}"' if text != text.strip().strip("'\"") else text
+
+
 def dump_config(cfg: ExperimentConfig) -> str:
-    return "".join(
-        f"{key} = {','.join(value) if isinstance(value, tuple) else value}\n"
-        for key, value in _values(cfg).items()
-    )
+    return "".join(f"{key} = {_text(value)}\n" for key, value in _values(cfg).items())
 
 
 def differing_keys(a: str, b: str) -> list[str]:
@@ -77,9 +83,24 @@ def differing_keys(a: str, b: str) -> list[str]:
 _TYPES = {key: type(value) for key, value in _values(ExperimentConfig()).items()}
 
 
-def load_config(text: str) -> ExperimentConfig:
-    top: dict = {}
-    fed: dict = {}
+def _value(key: str, text: str, where: str = ""):
+    convert = _TYPES[key]
+    if convert is tuple:
+        return tuple(m.strip() for m in text.split(",") if m.strip())
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{where}{key} = {text!r} is not a valid {convert.__name__}") from None
+
+
+def load_config(text: str = "", flags: dict | None = None) -> ExperimentConfig:
+    """The config that a file's text and the flags set, checked as a whole.
+
+    `flags` maps dotted keys to a flag's text, None where the flag is absent,
+    as argparse's values by dest do; names that are not keys are ignored.
+    """
+    values: dict = {}
     seen: dict[str, int] = {}  # line number of each key
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -87,29 +108,16 @@ def load_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigurationError(f"config line {lineno}: expected 'key = value'")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip().strip("'\"")
-        convert = _TYPES.get(key)
-        if convert is None:
+        key, _, raw = (part.strip() for part in line.partition("="))
+        if key not in _TYPES:
             raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigurationError(f"config lines {seen[key]} and {lineno} both set {key}")
         seen[key] = lineno
-        if convert is tuple:
-            value = tuple(m.strip() for m in raw.split(",") if m.strip())
-        else:
-            try:
-                value = convert(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"config line {lineno}: {key} = {raw!r} is not a valid {convert.__name__}"
-                ) from None
-        if key.startswith("fed."):
-            fed[key[4:]] = value
-        else:
-            top[key] = value
-    return ExperimentConfig(fed=FederationConfig(**fed), **top)
-
-
-def load_config_file(path) -> ExperimentConfig:
-    return load_config(Path(path).read_text())
+        if len(raw) > 1 and raw[0] == raw[-1] and raw[0] in "'\"":
+            raw = raw[1:-1]
+        values[key] = _value(key, raw, f"config line {lineno}: ")
+    values.update({key: _value(key, flag) for key, flag in (flags or {}).items()
+                   if key in _TYPES and flag is not None})
+    fed = {key[4:]: values.pop(key) for key in list(values) if key.startswith("fed.")}
+    return ExperimentConfig(fed=FederationConfig(**fed), **values)

@@ -19,6 +19,7 @@ from .models import ModelState, forward
 from .numerics import per_sample_nll
 
 TIMING_FIELDS = ("elapsed_s", "total_time_s")
+EVAL_BATCH = 512  # test rows per forward in `evaluate`
 
 
 @dataclass
@@ -41,14 +42,14 @@ class TrialSummary:
     total_time_s: float
 
 
-def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[float, float]:
+def evaluate(model: ModelState, test: Dataset) -> tuple[float, float]:
     """Accuracy and mean cross-entropy on the full test set.
 
     Batched for memory only, and one batch at a time: only a batch's logits
     are kept, so its forward cache is freed before the next batch's forward
-    runs. The accuracy does not depend on batch_size. The loss sums each
+    runs. The accuracy does not depend on `EVAL_BATCH`. The loss sums each
     batch's losses in turn, so it agrees across batch sizes only to rounding
-    and is bit-identical only at the same batch_size. Argmax ties break
+    and is bit-identical only at the same `EVAL_BATCH`. Argmax ties break
     toward the lowest class index. Reads the pixel codes when the dataset
     is codes (bit-identical to reading its decoded images).
     """
@@ -56,9 +57,9 @@ def evaluate(model: ModelState, test: Dataset, batch_size: int = 512) -> tuple[f
     inputs = test.model_inputs
     correct = 0
     loss_sum = 0.0
-    for start in range(0, n, batch_size):
-        imgs = inputs[start : start + batch_size]
-        labs = test.labels[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        imgs = inputs[start : start + EVAL_BATCH]
+        labs = test.labels[start : start + EVAL_BATCH]
         logits = forward(model, imgs)[0]
         correct += int((np.argmax(logits, axis=1) == labs).sum())
         loss_sum += float(per_sample_nll(logits, labs).sum())

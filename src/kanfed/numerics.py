@@ -3,9 +3,9 @@
 Everything here works on float64 numpy arrays and is bit-deterministic:
 identical inputs give identical outputs on every run with the same numpy/BLAS
 build. OpenBLAS splits a matrix product differently on 1 and on 2 threads, so
-importing this module sets the OpenBLAS that numpy loaded to one thread
-(`BLAS_THREADS`), whatever `OPENBLAS_NUM_THREADS` says. Matrices are plain
-2-D ``np.ndarray`` with dtype float64, row-major.
+importing this module sets every OpenBLAS mapped into the process, numpy's
+among them, to one thread (`BLAS_THREADS`), whatever `OPENBLAS_NUM_THREADS`
+says. Matrices are plain 2-D ``np.ndarray`` with dtype float64, row-major.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num
 
 
 def pin_blas_threads() -> int | str:
-    """Set the OpenBLAS that numpy loaded to one thread; returns 1.
+    """Set every mapped OpenBLAS with one of `OPENBLAS_SETTERS` to one thread; returns 1.
 
-    Returns "unpinned" where no OpenBLAS with one of `OPENBLAS_SETTERS` is
-    mapped into the process and can be opened (another BLAS, a mapped file
-    since deleted, or no /proc/self/maps to find it in): its thread count, and
-    with it the logs, is then left to the BLAS.
+    numpy's is among them, and scipy's where scipy was imported first. Returns
+    "unpinned" where none has a setter (another BLAS), where a mapped OpenBLAS
+    cannot be opened (a mapped file since deleted, which may be numpy's), or
+    where there is no /proc/self/maps to find them in: numpy's thread count,
+    and with it the logs, may then be left to the BLAS.
     """
     try:
         with open("/proc/self/maps") as f:
@@ -37,17 +38,19 @@ def pin_blas_threads() -> int | str:
                             if "openblas" in line.lower()})
     except OSError:
         return "unpinned"
+    pinned = unopened = 0
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:  # e.g. "/x/libopenblas.so (deleted)"
+            unopened += 1
             continue
         setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS if hasattr(lib, name)), None)
         if setter is not None:
             setter.argtypes, setter.restype = [ctypes.c_int], None
             setter(1)
-            return 1
-    return "unpinned"
+            pinned += 1
+    return 1 if pinned and not unopened else "unpinned"
 
 
 BLAS_THREADS = pin_blas_threads()

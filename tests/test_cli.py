@@ -127,6 +127,38 @@ class TestConfig:
             run_cli("run", "--dump-config", "--preset", "desk")
         assert e.value.code == 1
 
+    @pytest.mark.parametrize("flag,text,key,dumped", [
+        ("--models", " mlp , rbf_kan ", "models", "mlp,rbf_kan"),
+        ("--trials", "3", "trials_per_model", "3"),
+        ("--rounds", "7", "fed.n_rounds", "7"),
+        ("--seed", "5", "master_seed", "5"),
+        ("--data-dir", "d2", "data_dir", "d2"),
+        ("--out-dir", "o2", "out_dir", "o2"),
+    ])
+    def test_flag_replaces_file_line(self, tmp_path, capsys, flag, text, key, dumped):
+        # a flag sets one key; every other key keeps the file's value
+        fed = FederationConfig(n_rounds=2, clients_per_round_fraction=0.25, local_epochs=2,
+                               batch_size=32, lr=0.05, client_momentum=0.5,
+                               server_momentum=0.8)
+        file_cfg = ExperimentConfig(models=("spline_kan",), trials_per_model=4, master_seed=9,
+                                    data_dir="d", out_dir="o", n_clients=50,
+                                    labels_per_client=3, fed=fed)
+        path = tmp_path / "exp.cfg"
+        path.write_text(dump_config(file_cfg))
+        assert run_cli("run", "--config", str(path), flag, text, "--dump-config") == 0
+        expected = [f"{key} = {dumped}" if line.startswith(f"{key} = ") else line
+                    for line in dump_config(file_cfg).splitlines()]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("out_dir", ["'runs'", '"runs"', "runs ", " runs"])
+    def test_quotes_and_end_blanks_round_trip(self, capsys, out_dir):
+        # the dump quotes such a value, the reader strips one pair of quotes,
+        # and a flag's text is read as it is
+        cfg = ExperimentConfig(out_dir=out_dir)
+        assert load_config(dump_config(cfg)) == cfg
+        assert run_cli("run", "--out-dir", out_dir, "--dump-config") == 0
+        assert load_config(capsys.readouterr().out) == cfg
+
     def test_trial_seeds_distinct_and_stable(self):
         s1 = derive_trial_seed(42, "mlp", 0)
         assert s1 == derive_trial_seed(42, "mlp", 0)
@@ -385,6 +417,13 @@ class TestRun:
         # a zero flag is applied and refused, not dropped as if it were absent
         assert run_cli("run", "--dump-config", flag[0], value) == 1
         assert f"usage error: {flag[1]} must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,key", [("--trials", "trials_per_model"),
+                                          ("--rounds", "fed.n_rounds"), ("--seed", "master_seed")])
+    def test_bad_flag_value_exit_1(self, capsys, flag, key):
+        # a flag's text is read as a config line's value is, and named by its key
+        assert run_cli("run", "--dump-config", flag, "x") == 1
+        assert f"usage error: {key} = 'x' is not a valid int" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--data-dir", "--out-dir"])
     def test_empty_dir_flag_exit_1(self, capsys, flag):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kanfed import cli
+from kanfed import cli, metrics
 from kanfed.data import Dataset
 from kanfed.errors import DataError, ReportError
 from kanfed.metrics import (
@@ -71,16 +71,18 @@ class TestEvaluate:
         acc, _ = evaluate(state, Dataset(images=images, labels=labels))
         assert acc == 1.0
 
-    def test_batch_size_invariance(self):
+    def test_batch_size_invariance(self, monkeypatch):
         test = make_synth_dataset(500, 41)
         state = init_params(ModelConfig(kind="spline_kan", layer_widths=(784, 8, 10)), RngStream(42))
-        a = evaluate(state, test, batch_size=64)
-        b = evaluate(state, test, batch_size=1000)
+        monkeypatch.setattr(metrics, "EVAL_BATCH", 64)
+        a = evaluate(state, test)
+        monkeypatch.setattr(metrics, "EVAL_BATCH", 1000)
+        b = evaluate(state, test)
         assert a[0] == b[0]
         assert abs(a[1] - b[1]) < 1e-12
 
     @pytest.mark.parametrize("kind", ["spline_kan", "rbf_kan"])
-    def test_holds_one_batch_at_a_time(self, kind):
+    def test_holds_one_batch_at_a_time(self, kind, monkeypatch):
         # three 512-row batches: evaluate's peak is about one batch's forward,
         # not two, so each batch's cache is freed before the next forward
         test = make_synth_dataset(1536, 43)
@@ -95,7 +97,8 @@ class TestEvaluate:
                 tracemalloc.stop()
 
         one_forward = peak_bytes(lambda: forward(state, test.model_inputs[:512]))
-        whole = peak_bytes(lambda: evaluate(state, test, batch_size=512))
+        monkeypatch.setattr(metrics, "EVAL_BATCH", 512)
+        whole = peak_bytes(lambda: evaluate(state, test))
         assert whole <= 1.25 * one_forward
 
 

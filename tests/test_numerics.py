@@ -1,3 +1,4 @@
+import ctypes
 import io
 import math
 from pathlib import Path
@@ -197,21 +198,41 @@ class TestBlasPin:
         # numpy's wheels bundle an OpenBLAS whose setter is in OPENBLAS_SETTERS
         assert numerics.BLAS_THREADS == numerics.pin_blas_threads() == 1
 
+    def test_every_mapped_openblas_pinned(self):
+        # scipy maps an OpenBLAS of its own beside numpy's; whichever sorts
+        # first, each is left at one thread
+        import scipy.linalg  # noqa: F401
+        assert numerics.pin_blas_threads() == 1
+        threads = {}
+        for path in self.mapped_openblas():
+            lib = ctypes.CDLL(path)
+            getter = next((getattr(lib, name.replace("_set_", "_get_"))
+                           for name in numerics.OPENBLAS_SETTERS if hasattr(lib, name)), None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                threads[path] = getter()
+        assert threads and set(threads.values()) == {1}, threads
+
     def test_no_setter_unpinned(self, monkeypatch):
         monkeypatch.setattr(numerics, "OPENBLAS_SETTERS", ("no_such_setter",))
         assert numerics.pin_blas_threads() == "unpinned"
 
     @staticmethod
-    def serve_maps(monkeypatch, path):
-        """Let pin_blas_threads read one /proc/self/maps line, which maps path."""
-        line = f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234      {path}\n"
-        monkeypatch.setattr(numerics, "open", lambda *args: io.StringIO(line), raising=False)
+    def serve_maps(monkeypatch, *paths):
+        """Let pin_blas_threads read one /proc/self/maps line for each path."""
+        text = "".join(f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234      {path}\n"
+                       for path in paths)
+        monkeypatch.setattr(numerics, "open", lambda *args: io.StringIO(text), raising=False)
+
+    @staticmethod
+    def mapped_openblas():
+        """The mapped OpenBLAS paths, sorted: numpy's, and scipy's once loaded."""
+        with open("/proc/self/maps") as f:
+            return sorted({line.split(maxsplit=5)[5].strip() for line in f
+                           if "openblas" in line.lower()})
 
     def test_path_with_space_pinned(self, tmp_path, monkeypatch):
-        # numpy's OpenBLAS, or scipy's where the tests have loaded it too
-        with open("/proc/self/maps") as f:
-            real = min(line.split(maxsplit=5)[5].strip() for line in f
-                       if "openblas" in line.lower())
+        real = self.mapped_openblas()[0]
         link = tmp_path / "dir with space" / Path(real).name
         link.parent.mkdir()
         link.symlink_to(real)
@@ -220,4 +241,10 @@ class TestBlasPin:
 
     def test_deleted_library_unpinned(self, tmp_path, monkeypatch):
         self.serve_maps(monkeypatch, f"{tmp_path / 'libscipy_openblas64_.so'} (deleted)")
+        assert numerics.pin_blas_threads() == "unpinned"
+
+    def test_one_deleted_library_unpinned(self, tmp_path, monkeypatch):
+        # the one that cannot be opened may be numpy's, whatever the others say
+        self.serve_maps(monkeypatch, self.mapped_openblas()[0],
+                        f"{tmp_path / 'libscipy_openblas64_.so'} (deleted)")
         assert numerics.pin_blas_threads() == "unpinned"
