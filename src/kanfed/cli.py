@@ -34,10 +34,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 # the flags that several subcommands share; each declares only those it reads.
-# A flag that sets a setting has the setting's dotted key as its dest, and
+# A flag that sets a setting has the setting's config key as its dest, and
 # config.load_config reads its text as it reads a config line's value
 _SHARED_FLAGS = {
-    "--config": {"help": "config file with flat dotted keys"},
+    "--config": {"help": "config file of `key = value` lines"},
     "--data-dir": {"help": "directory with the MNIST IDX files"},
     "--out-dir": {"help": "output directory for logs and reports"},
     "--seed": {"dest": "master_seed", "metavar": "SEED", "help": "master seed"},
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = command("run", "run federated trials", *_SHARED_FLAGS)
     run.add_argument("--models", help="comma-separated subset of mlp,spline_kan,rbf_kan")
     run.add_argument("--trials", dest="trials_per_model", metavar="TRIALS", help="trials per model")
-    run.add_argument("--rounds", dest="fed.n_rounds", metavar="ROUNDS",
+    run.add_argument("--rounds", dest="n_rounds", metavar="ROUNDS",
                      help="federated rounds per trial")
     run.add_argument("--dump-config", action="store_true",
                      help="print the effective config and exit")
@@ -72,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> cfgmod.ExperimentConfig:
-    return cfgmod.load_config(Path(args.config).read_text() if args.config else "", vars(args))
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except (OSError, UnicodeDecodeError) as e:
+        why = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
+        raise ConfigurationError(f"config file {args.config}: {why}") from None
+    return cfgmod.load_config(text, vars(args))
 
 
 def _load_manifest(path: Path) -> dict:
@@ -82,8 +87,9 @@ def _load_manifest(path: Path) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON ({e}); repair or remove it") from e
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("completed"), list):
-        raise DataError(f"{path}: not a kanfed manifest (no \"completed\" list)")
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("completed"), list)
+            and isinstance(manifest.get("config", ""), str)):
+        raise DataError(f"{path}: not a kanfed manifest (no \"completed\" list or \"config\" text)")
     return manifest
 
 
@@ -107,7 +113,7 @@ def cmd_run(args) -> int:
         )
     manifest["config"] = effective
     # neither changes the logs; they say how the run used this machine
-    manifest["workers"] = process_count(cfg.fed.clients_per_round(cfg.n_clients)) - 1
+    manifest["workers"] = process_count(cfg.fed.clients_per_round(datamod.N_CLIENTS)) - 1
     manifest["blas_threads"] = numerics.BLAS_THREADS
     train, test = datamod.load_mnist(cfg.data_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -120,9 +126,9 @@ def cmd_run(args) -> int:
                 continue
             seed = cfgmod.derive_trial_seed(cfg.master_seed, kind, idx)
             parts = datamod.pathological_partition(
-                train, cfg.n_clients, cfg.labels_per_client, RngStream(seed)
+                train, datamod.N_CLIENTS, datamod.LABELS_PER_CLIENT, RngStream(seed)
             )
-            datamod.check_partition(parts, len(train), cfg.labels_per_client)
+            datamod.check_partition(parts, len(train))
             trial = run_trial(
                 default_config(kind), cfg.fed, train, test, parts, seed,
                 trial_id=f"{kind}:{idx}",

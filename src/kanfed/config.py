@@ -1,21 +1,19 @@
-"""Experiment configuration with a flat dotted-key text format.
+"""Experiment configuration: seven settings, as `key = value` lines.
 
-Defaults are the full experiment settings (100 rounds, 15 trials per model,
-10% participation, SGD lr 0.1 momentum 0.9). `kanfed run --trials 3
---rounds 30` shrinks the trial and round counts so a complete comparison
-fits on a CPU. A CLI flag that sets a setting stores its text under the
-setting's dotted key, and `load_config` reads a file's values and the
-flags' texts the same way; a flag replaces the file's line. A file value
-loses one pair of matching quotes, which `dump_config` puts around a value
-that starts or ends with a blank or a quote; a flag's text is read as it is.
+A run sets `models`, `trials_per_model`, `master_seed`, `data_dir`,
+`out_dir`, `n_rounds` and `lr`. The rest of the paper's protocol is fixed:
+the `FederationConfig` defaults and `data.N_CLIENTS` / `LABELS_PER_CLIENT`.
+`load_config` reads a flag's text as it reads a file's value, and a flag
+replaces the file's line. A file value loses one pair of matching quotes,
+which `dump_config` puts around a value that starts or ends with a blank or
+a quote; a flag's text is read as it is.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass
 
-from .data import N_CLASSES
 from .errors import ConfigurationError
 from .federation import FederationConfig
 from .models import MODEL_KINDS
@@ -28,9 +26,8 @@ class ExperimentConfig:
     master_seed: int = 42
     data_dir: str = "data"
     out_dir: str = "runs"
-    n_clients: int = 100
-    labels_per_client: int = 2
-    fed: FederationConfig = field(default_factory=FederationConfig)
+    n_rounds: int = 100
+    lr: float = 0.1
 
     def __post_init__(self):
         if not self.models or len(set(self.models)) != len(self.models):
@@ -39,28 +36,19 @@ class ExperimentConfig:
         for m in self.models:
             if m not in MODEL_KINDS:
                 raise ConfigurationError(f"unknown model kind {m!r}")
-        for name in ("trials_per_model", "n_clients"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
+        if self.trials_per_model < 1:
+            raise ConfigurationError("trials_per_model must be positive")
         for name in ("data_dir", "out_dir"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be a path, got an empty one")
-        if not 1 <= self.labels_per_client <= N_CLASSES:
-            raise ConfigurationError(
-                f"labels_per_client must be in [1, {N_CLASSES}], got {self.labels_per_client}")
+        # the paper's protocol at this run's round count and lr; its checks cover both
+        self.fed = FederationConfig(n_rounds=self.n_rounds, lr=self.lr)
 
 
 def derive_trial_seed(master_seed: int, model: str, trial_index: int) -> int:
     """Stable per-trial seed; each trial is reproducible on its own."""
     digest = hashlib.sha256(f"{master_seed}/{model}/{trial_index}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def _values(cfg: ExperimentConfig) -> dict:
-    """Every setting by its dotted key, in field order, `fed` last."""
-    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "fed"}
-    out.update({f"fed.{f.name}": getattr(cfg.fed, f.name) for f in fields(cfg.fed)})
-    return out
 
 
 def _text(value) -> str:
@@ -70,7 +58,7 @@ def _text(value) -> str:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    return "".join(f"{key} = {_text(value)}\n" for key, value in _values(cfg).items())
+    return "".join(f"{key} = {_text(value)}\n" for key, value in asdict(cfg).items())
 
 
 def differing_keys(a: str, b: str) -> list[str]:
@@ -80,7 +68,7 @@ def differing_keys(a: str, b: str) -> list[str]:
 
 
 # coercion of each value, from the type of its default
-_TYPES = {key: type(value) for key, value in _values(ExperimentConfig()).items()}
+_TYPES = {key: type(value) for key, value in asdict(ExperimentConfig()).items()}
 
 
 def _value(key: str, text: str, where: str = ""):
@@ -97,7 +85,7 @@ def _value(key: str, text: str, where: str = ""):
 def load_config(text: str = "", flags: dict | None = None) -> ExperimentConfig:
     """The config that a file's text and the flags set, checked as a whole.
 
-    `flags` maps dotted keys to a flag's text, None where the flag is absent,
+    `flags` maps keys to a flag's text, None where the flag is absent,
     as argparse's values by dest do; names that are not keys are ignored.
     """
     values: dict = {}
@@ -119,5 +107,4 @@ def load_config(text: str = "", flags: dict | None = None) -> ExperimentConfig:
         values[key] = _value(key, raw, f"config line {lineno}: ")
     values.update({key: _value(key, flag) for key, flag in (flags or {}).items()
                    if key in _TYPES and flag is not None})
-    fed = {key[4:]: values.pop(key) for key in list(values) if key.startswith("fed.")}
-    return ExperimentConfig(fed=FederationConfig(**fed), **values)
+    return ExperimentConfig(**values)

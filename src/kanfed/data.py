@@ -16,9 +16,9 @@ split is built.
 The partitioner sorts training indices by label, cuts the label pools into
 n_clients * k shards of jittered size, an equal number per label, and deals
 k shards with distinct labels to each client, so every client sees exactly k
-digits. k is `labels_per_client`, 2 by default, which for 100 clients makes
-20 shards per label. Mean client size is exactly total/n_clients (600 for
-MNIST).
+digits. The paper's protocol deals `LABELS_PER_CLIENT` = 2 to each of
+`N_CLIENTS` = 100 clients, 20 shards per label. Mean client size is exactly
+total/n_clients (600 for MNIST).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ IDX_MAGIC_IMAGES = 0x00000803
 IDX_MAGIC_LABELS = 0x00000801
 N_CLASSES = 10  # the digits, and every model's output width
 SIDE = 28  # every image is SIDE x SIDE pixels
+N_CLIENTS, LABELS_PER_CLIENT = 100, 2  # the paper's split: 2 digits per client
 
 # standard MNIST pixel statistics (after scaling to [0,1])
 MNIST_MEAN = 0.1307
@@ -308,7 +309,8 @@ def pathological_partition(
     return parts
 
 
-def check_partition(parts: list[ClientPartition], n_total: int, labels_per_client: int = 2):
+def check_partition(parts: list[ClientPartition], n_total: int,
+                    labels_per_client: int = LABELS_PER_CLIENT):
     """Raise InternalError unless coverage, disjointness and label counts hold."""
     seen = np.zeros(n_total, dtype=bool)
     for p in parts:

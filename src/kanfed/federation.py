@@ -48,7 +48,7 @@ class FederationConfig:
     lr: float = 0.1
     client_momentum: float = 0.9
     server_momentum: float = 0.9
-    # only 1: kept so that callers passing it and run dirs recording it still work
+    # only 1: kept so that callers passing it still work
     parallel_clients: int = 1
 
     def __post_init__(self):

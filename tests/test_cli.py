@@ -32,96 +32,80 @@ class TestConfig:
     def test_defaults_match_experiment_settings(self):
         cfg = ExperimentConfig()
         assert cfg.trials_per_model == 15
-        assert cfg.n_clients == 100
-        assert cfg.labels_per_client == 2
-        assert cfg.fed.n_rounds == 100
+        assert cfg.n_rounds == cfg.fed.n_rounds == 100
+        assert cfg.lr == cfg.fed.lr == 0.1
+        # the rest of the paper's protocol is fixed, not a setting
+        assert (data.N_CLIENTS, data.LABELS_PER_CLIENT) == (100, 2)
         assert cfg.fed.clients_per_round_fraction == 0.10
         assert cfg.fed.local_epochs == 5
         assert cfg.fed.batch_size == 64
-        assert cfg.fed.lr == 0.1
         assert cfg.fed.client_momentum == 0.9
         assert cfg.fed.server_momentum == 0.9
 
     def test_dump_load_round_trip(self):
         # a line is a comment only where `#` comes first, so a path may hold one
         cfg = ExperimentConfig(master_seed=7, models=("mlp",), trials_per_model=3,
-                               out_dir="runs#2", fed=FederationConfig(n_rounds=30))
+                               out_dir="runs#2", n_rounds=30)
         assert load_config(dump_config(cfg)) == cfg
         assert load_config("# saved\n  # by hand\n" + dump_config(cfg)) == cfg
 
     def test_dump_text_pinned(self):
-        fed = FederationConfig(n_rounds=7, clients_per_round_fraction=0.25, local_epochs=2,
-                               batch_size=32, lr=0.05, client_momentum=0.5,
-                               server_momentum=0.8)
         cfg = ExperimentConfig(models=("rbf_kan", "mlp"), trials_per_model=4, master_seed=9,
-                               data_dir="d d", out_dir="o", n_clients=50,
-                               labels_per_client=3, fed=fed)
+                               data_dir="d d", out_dir="o", n_rounds=7, lr=0.05)
         assert dump_config(cfg) == (
             "models = rbf_kan,mlp\n"
             "trials_per_model = 4\n"
             "master_seed = 9\n"
             "data_dir = d d\n"
             "out_dir = o\n"
-            "n_clients = 50\n"
-            "labels_per_client = 3\n"
-            "fed.n_rounds = 7\n"
-            "fed.clients_per_round_fraction = 0.25\n"
-            "fed.local_epochs = 2\n"
-            "fed.batch_size = 32\n"
-            "fed.lr = 0.05\n"
-            "fed.client_momentum = 0.5\n"
-            "fed.server_momentum = 0.8\n"
-            "fed.parallel_clients = 1\n"
+            "n_rounds = 7\n"
+            "lr = 0.05\n"
         )
         assert load_config(dump_config(cfg)) == cfg
+        assert cfg.fed == FederationConfig(n_rounds=7, lr=0.05)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            load_config("nonsense = 1\n")
-        with pytest.raises(ConfigurationError):
-            load_config("fed.nonsense = 1\n")
+        # the paper's protocol is fixed, so none of its other values is a key;
         # the server step is its momentum buffer, unscaled: no server lr to set
-        with pytest.raises(ConfigurationError, match="unknown key 'fed.server_lr'"):
-            load_config("fed.server_lr = 1.0\n")
+        for key in ("nonsense", "fed.nonsense", "fed.server_lr", "n_clients",
+                    "labels_per_client", "fed.clients_per_round_fraction", "fed.local_epochs",
+                    "fed.batch_size", "fed.client_momentum", "fed.server_momentum",
+                    "fed.parallel_clients", "fed.n_rounds", "fed.lr"):
+            with pytest.raises(ConfigurationError, match=f"^config line 1: unknown key '{key}'$"):
+                load_config(f"{key} = 1\n")
 
     def test_repeated_key_rejected(self):
         # the later value would otherwise win without a word
-        with pytest.raises(ConfigurationError, match="config lines 2 and 4 both set fed.lr$"):
-            load_config("master_seed = 3\nfed.lr = 0.1\n\nfed.lr = 5\n")
+        with pytest.raises(ConfigurationError, match="config lines 2 and 4 both set lr$"):
+            load_config("master_seed = 3\nlr = 0.1\n\nlr = 5\n")
 
-    @pytest.mark.parametrize("line", ["fed.lr = abc", "fed.n_rounds = 1.5", "n_clients = ten"])
+    @pytest.mark.parametrize("line", ["lr = abc", "n_rounds = 1.5", "trials_per_model = ten"])
     def test_bad_value_rejected(self, line):
         key = line.partition(" =")[0]
         with pytest.raises(ConfigurationError, match=f"config line 2: {key} = "):
             load_config(f"master_seed = 3\n{line}\n")
 
     @pytest.mark.parametrize("line", [
-        "fed.lr = nan", "fed.lr = -0.5",
-        "fed.client_momentum = inf", "fed.client_momentum = 1.0",
-        "fed.server_momentum = -0.1", "fed.server_momentum = nan",
-        "n_clients = -3", "n_clients = 0",
-        "labels_per_client = 0", "labels_per_client = 11",
-        "fed.parallel_clients = 0", "fed.parallel_clients = -2", "fed.parallel_clients = 2",
+        "lr = nan", "lr = -0.5", "lr = inf", "n_rounds = -3", "n_rounds = 0",
+        "trials_per_model = 0",
         "models = ", "models = mlp,mlp", "data_dir = ", "out_dir = ''",
     ])
     def test_nonsense_value_rejected(self, line):
-        key = line.partition(" =")[0].removeprefix("fed.")
+        # n_rounds and lr are checked by the FederationConfig they build
+        key = line.partition(" =")[0]
         with pytest.raises(ConfigurationError, match=f"^{key} must be"):
             load_config(f"master_seed = 3\n{line}\n")
 
-    def test_labels_per_client_bounds_allowed(self):
-        # 1 and 10 (every label) are the ends of the range the partitioner deals
-        for k in (1, 10):
-            assert load_config(f"labels_per_client = {k}\n").labels_per_client == k
-
     def test_zero_step_and_momentum_allowed(self):
-        cfg = load_config("fed.lr = 0.0\nfed.client_momentum = 0\nfed.server_momentum = 0\n")
-        assert cfg.fed.lr == cfg.fed.client_momentum == cfg.fed.server_momentum == 0.0
+        # lr is a key; the momenta are the protocol's, fixed but still checked
+        assert load_config("lr = 0.0\n").fed.lr == 0.0
+        fed = FederationConfig(client_momentum=0.0, server_momentum=0.0)
+        assert fed.client_momentum == fed.server_momentum == 0.0
 
     def test_desk_preset(self, capsys):
         # the desk-scale comparison is two flags; --preset desk is gone
         assert run_cli("run", "--dump-config", "--trials", "3", "--rounds", "30") == 0
-        desk = replace(ExperimentConfig(), trials_per_model=3, fed=FederationConfig(n_rounds=30))
+        desk = replace(ExperimentConfig(), trials_per_model=3, n_rounds=30)
         assert capsys.readouterr().out == dump_config(desk)
         with pytest.raises(SystemExit) as e:
             run_cli("run", "--dump-config", "--preset", "desk")
@@ -130,19 +114,15 @@ class TestConfig:
     @pytest.mark.parametrize("flag,text,key,dumped", [
         ("--models", " mlp , rbf_kan ", "models", "mlp,rbf_kan"),
         ("--trials", "3", "trials_per_model", "3"),
-        ("--rounds", "7", "fed.n_rounds", "7"),
+        ("--rounds", "7", "n_rounds", "7"),
         ("--seed", "5", "master_seed", "5"),
         ("--data-dir", "d2", "data_dir", "d2"),
         ("--out-dir", "o2", "out_dir", "o2"),
     ])
     def test_flag_replaces_file_line(self, tmp_path, capsys, flag, text, key, dumped):
         # a flag sets one key; every other key keeps the file's value
-        fed = FederationConfig(n_rounds=2, clients_per_round_fraction=0.25, local_epochs=2,
-                               batch_size=32, lr=0.05, client_momentum=0.5,
-                               server_momentum=0.8)
         file_cfg = ExperimentConfig(models=("spline_kan",), trials_per_model=4, master_seed=9,
-                                    data_dir="d", out_dir="o", n_clients=50,
-                                    labels_per_client=3, fed=fed)
+                                    data_dir="d", out_dir="o", n_rounds=2, lr=0.05)
         path = tmp_path / "exp.cfg"
         path.write_text(dump_config(file_cfg))
         assert run_cli("run", "--config", str(path), flag, text, "--dump-config") == 0
@@ -190,9 +170,10 @@ class TestRun:
     def test_dump_config_defaults(self, capsys):
         assert run_cli("run", "--dump-config", "--trials", "3", "--rounds", "30") == 0
         out = capsys.readouterr().out
-        assert "fed.lr = 0.1" in out
-        assert "fed.n_rounds = 30" in out
-        assert "trials_per_model = 3" in out
+        assert "lr = 0.1" in out.splitlines()
+        assert "n_rounds = 30" in out.splitlines()
+        assert "trials_per_model = 3" in out.splitlines()
+        assert len(out.splitlines()) == 7
 
     def test_smoke_and_resume(self, synth_idx_dir, tmp_path, capsys):
         out_dir = tmp_path / "runs"
@@ -268,7 +249,7 @@ class TestRun:
         before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         capsys.readouterr()
         assert run_cli(*args, "--rounds", "2") == 1
-        assert "fed.n_rounds" in capsys.readouterr().err
+        assert "other settings (n_rounds)" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
     def test_resume_with_other_spellings_of_the_dirs(self, synth_idx_dir, tmp_path,
@@ -320,7 +301,7 @@ class TestRun:
         assert [t.trial_id for t in scan_logs(out_dir)["mlp"]] == ["mlp:0"]
         assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "mlp_trial00.jsonl"]
 
-    @pytest.mark.parametrize("text", ['{"completed": [', '[]'])
+    @pytest.mark.parametrize("text", ['{"completed": [', '[]', '{"completed": [], "config": 5}'])
     def test_corrupt_manifest_exit_2(self, synth_idx_dir, tmp_path, capsys, text):
         out_dir = tmp_path / "runs"
         out_dir.mkdir()
@@ -391,24 +372,33 @@ class TestRun:
     @pytest.mark.parametrize("dump", [False, True])
     def test_bad_config_value_exit_1(self, tmp_path, capsys, dump):
         path = tmp_path / "exp.cfg"
-        path.write_text("fed.lr = abc\n")
+        path.write_text("lr = abc\n")
         assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
-        assert "usage error: config line 1: fed.lr = 'abc'" in capsys.readouterr().err
+        assert "usage error: config line 1: lr = 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_nonsense_config_value_exit_1(self, tmp_path, capsys, dump):
         path = tmp_path / "exp.cfg"
-        path.write_text("fed.lr = nan\n")
+        path.write_text("lr = nan\n")
         assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
         assert "usage error: lr must be finite and >= 0, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dump", [False, True])
     def test_unrunnable_config_value_exit_1(self, tmp_path, capsys, dump):
         path = tmp_path / "exp.cfg"
-        path.write_text("labels_per_client = 11\n")
+        path.write_text("models = mlp,cnn\n")
         assert run_cli("run", "--config", str(path), *(["--dump-config"] * dump)) == 1
-        assert ("usage error: labels_per_client must be in [1, 10], got 11"
-                in capsys.readouterr().err)
+        assert "usage error: unknown model kind 'cnn'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["none.cfg", "a-dir", "latin1.cfg"])
+    def test_unreadable_config_file_exit_1(self, tmp_path, capsys, name):
+        # a file that is missing, a directory or not UTF-8 is named, with no traceback
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes("out_dir = caf\u00e9\n".encode("latin-1"))
+        path = tmp_path / name
+        assert run_cli("run", "--config", str(path), "--dump-config") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: config file {path}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", [("--trials", "trials_per_model"),
                                       ("--rounds", "n_rounds")])
@@ -419,7 +409,7 @@ class TestRun:
         assert f"usage error: {flag[1]} must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,key", [("--trials", "trials_per_model"),
-                                          ("--rounds", "fed.n_rounds"), ("--seed", "master_seed")])
+                                          ("--rounds", "n_rounds"), ("--seed", "master_seed")])
     def test_bad_flag_value_exit_1(self, capsys, flag, key):
         # a flag's text is read as a config line's value is, and named by its key
         assert run_cli("run", "--dump-config", flag, "x") == 1

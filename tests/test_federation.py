@@ -15,7 +15,7 @@ from scipy.stats import binom
 
 from kanfed import federation, numerics
 from kanfed.data import ClientPartition, pathological_partition
-from kanfed.errors import InternalError
+from kanfed.errors import ConfigurationError, InternalError
 from kanfed.federation import (
     ClientUpdate,
     FederationConfig,
@@ -51,6 +51,20 @@ def full_partition(train):
         indices=np.arange(len(train)),
         label_set=frozenset(np.unique(train.labels)),
     )
+
+
+class TestFederationConfig:
+    # the protocol values are not config keys, but the benchmark and direct
+    # callers still set them, so each is still checked
+    @pytest.mark.parametrize("field, value", [
+        ("client_momentum", np.inf), ("client_momentum", 1.0),
+        ("server_momentum", -0.1), ("server_momentum", np.nan),
+        ("parallel_clients", 0), ("parallel_clients", -2), ("parallel_clients", 2),
+        ("clients_per_round_fraction", 0.0), ("local_epochs", 0), ("batch_size", 0),
+    ])
+    def test_nonsense_value_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            FederationConfig(**{field: value})
 
 
 class TestSampleClients:
