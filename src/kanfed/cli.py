@@ -84,8 +84,8 @@ def _load_manifest(path: Path) -> dict:
     if not path.exists():
         return {"completed": []}
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: not valid JSON ({e}); repair or remove it") from e
     if not (isinstance(manifest, dict) and isinstance(manifest.get("completed"), list)
             and isinstance(manifest.get("config", ""), str)):

@@ -7,12 +7,12 @@ the clients' momentum step, `sgd_momentum_step`, taken on that mean delta as a
 pseudo-gradient (FedAvgM). Client optimizer state never survives a round;
 server momentum persists for the whole trial.
 
-A trial trains each round's clients on every CPU the process may use: it
-forks one worker per further CPU (`process_count`), and the parent and the
-workers each train a share of the sampled clients through `_train_share`.
-Each round the parent sends each worker one message, (round, share, global
-params), and gets one back, the share's updates. Aggregation, the server
-step and evaluation stay in the parent.
+Each round's clients train on every CPU the process may use: the round forks
+one child per further CPU (`process_count`), and the parent and the children
+each train a share of the sampled clients through `_train_share`. A child
+holds the round's global params through the fork, sends one reply, its
+share's updates, and exits, so no child outlives its round's training.
+Aggregation, the server step and evaluation stay in the parent.
 
 Determinism contract: every random decision comes from a substream keyed by
 (seed, round, client), each process runs BLAS on one thread, and `aggregate`
@@ -26,7 +26,6 @@ import multiprocessing
 import os
 import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,43 +184,49 @@ def _train_share(model, share, rnd, partitions, train, fed_cfg, rng) -> list[Cli
             for cid in share]
 
 
-def _client_worker(conn, parent_ends, model, partitions, train, fed_cfg, rng) -> None:
-    """Until EOF, take one message per round, (round, share, global params),
-    and reply with one: the share's `ClientUpdate`s, or the exception that
-    training them raised. The reply waits for the whole share: a delta
-    outgrows the pipe's buffer, so sending one would block until the parent
-    reads, and the parent reads only after training its own share."""
-    for end in parent_ends:  # else the parent's EOF never reaches this process
-        end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
-    while True:
-        try:
-            # the global params are copied into the forked model in place
-            rnd, share, model.params[:] = conn.recv()
-        except EOFError:
-            return
+def _train_round(shares, model, rnd, partitions, train, fed_cfg, rng) -> list[ClientUpdate]:
+    """The updates of every share's clients. One child is forked per share
+    after the first and holds the round's global params through the fork. It
+    replies once, with its share's updates or the exception that training
+    them raised, and exits. Meanwhile this process trains shares[0]; only
+    then does it read the replies, in share order. So a child sends its whole
+    share at once: a delta outgrows the pipe's buffer, and a send per client
+    would stall the child's training until then. The children are killed and
+    joined on every way out."""
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
+
+    def child(conn, share):
+        for end in conns:  # else a child's reply to a dead parent blocks, not fails
+            end.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
         try:
             reply = _train_share(model, share, rnd, partitions, train, fed_cfg, rng)
         except Exception as e:
             reply = e
-        conn.send(reply)
+        try:
+            conn.send(reply)
+        except BrokenPipeError:  # the parent is gone
+            pass
 
-
-@contextmanager
-def _forked_workers(n: int, *state):
-    """n forked `_client_worker`s, each behind one end of a pipe; killed and
-    joined on every way out of the block."""
-    ctx = multiprocessing.get_context("fork")
-    conns, procs = [], []
     try:
-        for _ in range(n):
-            parent_end, child_end = ctx.Pipe()
+        for share in shares[1:]:
+            parent_end, child_end = ctx.Pipe(duplex=False)
             conns.append(parent_end)
-            proc = ctx.Process(target=_client_worker, args=(child_end, list(conns), *state))
+            proc = ctx.Process(target=child, args=(child_end, share))
             proc.start()
             procs.append(proc)
-            child_end.close()  # else a dead worker's pipe never reads as EOF here
-        yield conns
+            child_end.close()  # else a dead child's pipe never reads as EOF here
+        updates = _train_share(model, shares[0], rnd, partitions, train, fed_cfg, rng)
+        for conn in conns:
+            try:
+                got = conn.recv()
+            except EOFError:
+                raise InternalError("a client worker exited mid-round") from None
+            if isinstance(got, Exception):
+                raise got
+            updates += got
+        return updates
     finally:
         for proc in procs:
             proc.kill()
@@ -229,23 +234,6 @@ def _forked_workers(n: int, *state):
             proc.join()
         for conn in conns:
             conn.close()
-
-
-def _send(conn, message) -> None:
-    try:
-        conn.send(message)
-    except OSError:
-        raise InternalError("a client worker exited before its round") from None
-
-
-def _receive(conn) -> list[ClientUpdate]:
-    try:
-        got = conn.recv()
-    except (EOFError, OSError):
-        raise InternalError("a client worker exited mid-round") from None
-    if isinstance(got, Exception):
-        raise got
-    return got
 
 
 def run_trial(
@@ -269,32 +257,27 @@ def run_trial(
     n_sampled = fed_cfg.clients_per_round(n_clients)
     n_procs = process_count(n_sampled)
     records = []
-    with _forked_workers(n_procs - 1, global_model, partitions, train, fed_cfg, rng) as workers:
-        for rnd in range(1, fed_cfg.n_rounds + 1):
-            r0 = time.perf_counter()
-            sampled = sample_clients(n_clients, n_sampled, rnd, rng)
-            # the parent trains shares[0], worker k shares[k + 1], all at once
-            shares = [sampled[k::n_procs] for k in range(n_procs)]
-            for conn, share in zip(workers, shares[1:]):
-                _send(conn, (rnd, share, global_model.params))
-            updates = _train_share(global_model, shares[0], rnd, partitions, train, fed_cfg, rng)
-            for conn in workers:
-                updates += _receive(conn)
-            pseudo_gradient, train_loss, train_acc = aggregate(updates)
-            server_step(server, pseudo_gradient, fed_cfg.server_momentum)
-            del updates, pseudo_gradient  # evaluation holds no client delta
-            test_acc, test_loss = evaluate(global_model, test)
-            records.append(
-                RoundRecord(
-                    round=rnd,
-                    test_acc=test_acc,
-                    test_loss=test_loss,
-                    train_acc=train_acc,
-                    train_loss=train_loss,
-                    elapsed_s=time.perf_counter() - r0,
-                    sampled_clients=sampled,
-                )
+    for rnd in range(1, fed_cfg.n_rounds + 1):
+        r0 = time.perf_counter()
+        sampled = sample_clients(n_clients, n_sampled, rnd, rng)
+        # this process trains shares[0], a child forked for the round each other share
+        shares = [sampled[k::n_procs] for k in range(n_procs)]
+        updates = _train_round(shares, global_model, rnd, partitions, train, fed_cfg, rng)
+        pseudo_gradient, train_loss, train_acc = aggregate(updates)
+        server_step(server, pseudo_gradient, fed_cfg.server_momentum)
+        del updates, pseudo_gradient  # evaluation holds no client delta
+        test_acc, test_loss = evaluate(global_model, test)
+        records.append(
+            RoundRecord(
+                round=rnd,
+                test_acc=test_acc,
+                test_loss=test_loss,
+                train_acc=train_acc,
+                train_loss=train_loss,
+                elapsed_s=time.perf_counter() - r0,
+                sampled_clients=sampled,
             )
+        )
     return TrialSummary(
         trial_id=trial_id,
         model=model_config.kind,

@@ -89,29 +89,33 @@ def write_logs(trial: TrialSummary, path) -> None:
 def read_logs(path) -> TrialSummary:
     records = []
     summary = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}: malformed JSON at line {lineno}: {e}") from e
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {lineno} is not a JSON object")
-            keys = _ROUND_KEYS if "round" in obj else _SUMMARY_KEYS
-            missing = [k for k in keys if k not in obj]
-            if missing:
-                raise DataError(f"{path}: line {lineno} lacks {', '.join(missing)}")
-            if "round" in obj:
-                # the report reads round k from the k-th record, so rounds run 1..n in order
-                if obj["round"] != len(records) + 1:
-                    raise DataError(f"{path}: line {lineno} is round {obj['round']}, "
-                                    f"expected round {len(records) + 1}")
-                records.append(RoundRecord(**{k: obj[k] for k in keys}))
-            else:
-                summary = obj
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from e
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: malformed JSON at line {lineno}: {e}") from e
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: line {lineno} is not a JSON object")
+        keys = _ROUND_KEYS if "round" in obj else _SUMMARY_KEYS
+        missing = [k for k in keys if k not in obj]
+        if missing:
+            raise DataError(f"{path}: line {lineno} lacks {', '.join(missing)}")
+        if "round" in obj:
+            # the report reads round k from the k-th record, so rounds run 1..n in order
+            if obj["round"] != len(records) + 1:
+                raise DataError(f"{path}: line {lineno} is round {obj['round']}, "
+                                f"expected round {len(records) + 1}")
+            records.append(RoundRecord(**{k: obj[k] for k in keys}))
+        else:
+            summary = obj
     if summary is None:
         raise DataError(f"{path}: missing trial summary line (truncated file?)")
     if summary["n_rounds"] != len(records):
@@ -144,7 +148,7 @@ def scan_logs(log_dir) -> dict[str, list[TrialSummary]]:
 def strip_timing(path) -> list[dict]:
     """Parsed log lines with wall-clock fields removed (determinism checks)."""
     out = []
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         for line in f:
             obj = json.loads(line)
             for k in TIMING_FIELDS:

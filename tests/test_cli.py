@@ -301,11 +301,13 @@ class TestRun:
         assert [t.trial_id for t in scan_logs(out_dir)["mlp"]] == ["mlp:0"]
         assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "mlp_trial00.jsonl"]
 
-    @pytest.mark.parametrize("text", ['{"completed": [', '[]', '{"completed": [], "config": 5}'])
+    @pytest.mark.parametrize("text", ['{"completed": [', '[]', '{"completed": [], "config": 5}',
+                                      '\xff{"completed": []}'])
     def test_corrupt_manifest_exit_2(self, synth_idx_dir, tmp_path, capsys, text):
         out_dir = tmp_path / "runs"
         out_dir.mkdir()
-        (out_dir / "manifest.json").write_text(text)
+        # in Latin-1, "\xff" is one byte that is not UTF-8
+        (out_dir / "manifest.json").write_text(text, encoding="latin-1")
         code = run_cli(
             "run", "--models", "mlp", "--trials", "1", "--rounds", "1",
             "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir),

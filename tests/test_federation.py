@@ -397,6 +397,7 @@ class TestRunTrial:
         def checking_evaluate(*args):
             alive = sum(ref() is not None for ref in updates)
             assert alive == 0, f"{alive} client updates alive during evaluate"
+            assert multiprocessing.active_children() == []
             evaluated.append(True)
             return evaluate(*args)
 
@@ -417,7 +418,7 @@ def four_clients(train, empty_id=None):
 
 SRC, TESTS = (Path(__file__).resolve().parent.parent / d for d in ("src", "tests"))
 # a trial whose parent, with two usable CPUs, writes its worker's pid to
-# argv[1] from inside evaluate and then SIGKILLs itself
+# argv[1] from inside its own local_train, mid-round, and then SIGKILLs itself
 KILLED_PARENT = """import multiprocessing, os, signal, sys
 import numpy as np
 from conftest import make_synth_dataset
@@ -425,14 +426,18 @@ from kanfed import federation
 from kanfed.data import ClientPartition
 from kanfed.models import ModelConfig
 
-def dying_evaluate(*args):
+parent, local_train = os.getpid(), federation.local_train
+
+def dying_local_train(*args):
+    if os.getpid() != parent:
+        return local_train(*args)
     (worker,) = multiprocessing.active_children()
     with open(sys.argv[1], "w") as f:
         f.write(str(worker.pid))
     os.kill(os.getpid(), signal.SIGKILL)
 
 os.sched_getaffinity = lambda pid: {0, 1}
-federation.evaluate = dying_evaluate
+federation.local_train = dying_local_train
 train, test = make_synth_dataset(600, 31), make_synth_dataset(200, 32)
 parts = [ClientPartition(client_id=c, indices=ix, label_set=frozenset(train.labels[ix]))
          for c, ix in enumerate(np.array_split(np.arange(len(train)), 4))]
@@ -495,26 +500,20 @@ class TestWorkers:
         with pytest.raises(InternalError, match="worker exited mid-round"):
             run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
 
-    def test_worker_killed_between_rounds_raises(self, small_data, monkeypatch):
-        train, test = small_data
-        evaluate = federation.evaluate
-
-        def killing_evaluate(*args):
-            (worker,) = multiprocessing.active_children()
-            worker.kill()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
-            return evaluate(*args)
-
-        monkeypatch.setattr(federation, "evaluate", killing_evaluate)
-        with pytest.raises(InternalError, match="worker exited before its round"):
-            run_trial(small_model(), self.FED, train, test, four_clients(train), 19)
-
     def test_sigterm_in_parent_ends_workers(self, small_data, monkeypatch):
-        # a SIGTERM handler that exits, as the benchmark installs, mid-trial
+        # a SIGTERM handler that exits, as the benchmark installs, mid-round:
+        # the parent trains its own share while the worker trains the other
         train, test = small_data
-        monkeypatch.setattr(federation, "evaluate",
-                            lambda *args: os.kill(os.getpid(), signal.SIGTERM))
+        parent = os.getpid()
+        local_train = federation.local_train
+
+        def terminated_in_parent(*args):
+            if os.getpid() == parent:
+                assert len(multiprocessing.active_children()) == 1
+                os.kill(parent, signal.SIGTERM)
+            return local_train(*args)
+
+        monkeypatch.setattr(federation, "local_train", terminated_in_parent)
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
         try:
             with pytest.raises(SystemExit):
@@ -523,8 +522,8 @@ class TestWorkers:
             signal.signal(signal.SIGTERM, previous)
 
     def test_parent_killed_ends_worker(self, tmp_path):
-        # no exit path of the parent runs when it is SIGKILLed; the worker
-        # must see its pipe's EOF and leave by itself
+        # no exit path of the parent runs when it is SIGKILLed mid-round; the
+        # worker must find no reader for its reply and leave by itself
         pid_file = tmp_path / "worker.pid"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (SRC, TESTS)))}
         child = subprocess.run([sys.executable, "-c", KILLED_PARENT, str(pid_file)], env=env,

@@ -162,6 +162,16 @@ class TestLogs:
         assert cli.main(["report", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_non_utf8_log_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        write_logs(make_trial(), path)
+        with open(path, "ab") as f:
+            f.write(b"\xff\n")
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            read_logs(path)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
+
     def test_line_layout_pinned(self, tmp_path):
         record = RoundRecord(round=1, test_acc=0.5, test_loss=1.25, train_acc=0.75,
                              train_loss=0.1, sampled_clients=[3, 7], elapsed_s=2.5)
