@@ -66,23 +66,32 @@ def evaluate(model: ModelState, test: Dataset) -> tuple[float, float]:
     return correct / n, loss_sum / n
 
 
-_ROUND_KEYS = tuple(f.name for f in fields(RoundRecord))
-_SUMMARY_KEYS = ("trial_id", "model", "seed", "n_rounds", "total_time_s")
+# the JSON type each log key must hold, named as the dataclass fields' annotations
+# are (text, under `from __future__ import annotations`); a number is never a
+# bool, and a float may be NaN, as a diverged round's losses are
+_ROUND_TYPES = {f.name: f.type for f in fields(RoundRecord)}
+_SUMMARY_TYPES = {"trial_id": "str", "model": "str", "seed": "int", "n_rounds": "int",
+                  "total_time_s": "float"}
+_HOLDS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "str": lambda v: type(v) is str,
+    "list[int]": lambda v: type(v) is list and all(type(c) is int for c in v),
+}
+
+
+def _log_lines(trial: TrialSummary) -> list[dict]:
+    """The log's lines: one per round, then the trial's summary."""
+    lines = [{"trial_id": trial.trial_id, "model": trial.model, **asdict(r)}
+             for r in trial.records]
+    lines.append({"trial_id": trial.trial_id, "model": trial.model, "seed": trial.seed,
+                  "n_rounds": len(trial.records), "total_time_s": trial.total_time_s})
+    return lines
 
 
 def write_logs(trial: TrialSummary, path) -> None:
     """One JSONL line per round, then a trailing summary line; written atomically."""
-    lines = [{"trial_id": trial.trial_id, "model": trial.model, **asdict(r)}
-             for r in trial.records]
-    lines.append(
-        {
-            "trial_id": trial.trial_id,
-            "model": trial.model,
-            "seed": trial.seed,
-            "n_rounds": len(trial.records),
-            "total_time_s": trial.total_time_s,
-        }
-    )
+    lines = _log_lines(trial)
     write_atomic(path, lambda f: f.writelines(json.dumps(line) + "\n" for line in lines))
 
 
@@ -104,16 +113,20 @@ def read_logs(path) -> TrialSummary:
             raise DataError(f"{path}: malformed JSON at line {lineno}: {e}") from e
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {lineno} is not a JSON object")
-        keys = _ROUND_KEYS if "round" in obj else _SUMMARY_KEYS
-        missing = [k for k in keys if k not in obj]
+        types = _ROUND_TYPES if "round" in obj else _SUMMARY_TYPES
+        missing = [k for k in types if k not in obj]
         if missing:
             raise DataError(f"{path}: line {lineno} lacks {', '.join(missing)}")
+        for key, kind in types.items():
+            if not _HOLDS[kind](obj[key]):
+                raise DataError(f"{path}: line {lineno}: {key} is {json.dumps(obj[key])}, "
+                                f"expected {kind}")
         if "round" in obj:
             # the report reads round k from the k-th record, so rounds run 1..n in order
             if obj["round"] != len(records) + 1:
                 raise DataError(f"{path}: line {lineno} is round {obj['round']}, "
                                 f"expected round {len(records) + 1}")
-            records.append(RoundRecord(**{k: obj[k] for k in keys}))
+            records.append(RoundRecord(**{k: obj[k] for k in types}))
         else:
             summary = obj
     if summary is None:
@@ -146,12 +159,9 @@ def scan_logs(log_dir) -> dict[str, list[TrialSummary]]:
 
 
 def strip_timing(path) -> list[dict]:
-    """Parsed log lines with wall-clock fields removed (determinism checks)."""
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            obj = json.loads(line)
-            for k in TIMING_FIELDS:
-                obj.pop(k, None)
-            out.append(obj)
-    return out
+    """The log's lines, read and checked by `read_logs`, without wall-clock fields.
+
+    For determinism checks: two runs of the same trial give equal lists.
+    """
+    return [{k: v for k, v in line.items() if k not in TIMING_FIELDS}
+            for line in _log_lines(read_logs(path))]

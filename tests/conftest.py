@@ -1,10 +1,23 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kanfed.data import Dataset, write_idx
 
-# per-class train counts of the real MNIST training split
-MNIST_TRAIN_CLASS_COUNTS = [5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949]
+
+def _load_generator():
+    """perfbench/generate.py, the one source of synthetic MNIST, loaded by file path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+generate = _load_generator()
+PROTOTYPES = generate.prototypes(generate.TRAIN_SEED)
 
 
 def rel_err(a, b, floor=1e-6):
@@ -14,19 +27,15 @@ def rel_err(a, b, floor=1e-6):
     return float((np.abs(a - b) / denom).max())
 
 
-def make_synth_dataset(n, seed, n_classes=10, side=28):
-    """Learnable synthetic image set: noisy class prototypes in [0, 255]."""
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    )
-    labels = gen.integers(0, n_classes, n)
-    protos = gen.uniform(0, 255, (n_classes, side * side))
-    imgs = np.clip(
-        protos[labels] * gen.uniform(0.6, 1.0, (n, 1)) + gen.normal(0, 10, (n, side * side)),
-        0,
-        255,
-    )
-    return Dataset(images=np.round(imgs).astype(np.uint8), labels=labels)
+def make_synth_dataset(n, seed):
+    """n 28x28 samples of the benchmark's ten class prototypes, near-equal per class.
+
+    Every seed draws from the same prototypes, so a model trained on one
+    seed's split can be tested on another's.
+    """
+    counts = np.bincount(np.arange(n) % 10, minlength=10)
+    images, labels = generate.make_split(seed, "synth", PROTOTYPES, counts)
+    return Dataset(images=images, labels=labels.astype(np.int64))
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +51,7 @@ def synth_idx_dir(tmp_path_factory):
 def mnist_shaped_labels():
     """A 60,000-sample label-only Dataset with the real per-class counts."""
     labels = np.concatenate(
-        [np.full(c, lab, dtype=np.int64) for lab, c in enumerate(MNIST_TRAIN_CLASS_COUNTS)]
+        [np.full(c, lab, dtype=np.int64) for lab, c in enumerate(generate.TRAIN_CLASS_COUNTS)]
     )
     # interleave deterministically so label runs don't line up with indices
     order = np.argsort(np.arange(len(labels)) * 2654435761 % 2**32, kind="stable")

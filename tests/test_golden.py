@@ -1,9 +1,11 @@
-"""Golden logs: a 2-round trial of each reference model, pinned by SHA-256.
+"""Golden logs: an 8-round trial of each reference model, pinned by SHA-256.
 
-The logs are bit-reproducible on one numpy and BLAS build and one CPU, so
-the hashes are stored with the fingerprint that produced them and the test
-skips on any other. A change that moves a log on purpose updates the hash
-here and says why.
+Each trial is what `kanfed run --seed 7 --trials 1 --rounds 8` writes at lr
+0.003 on `synth_idx_dir`. Every model must learn: its best test accuracy is
+at least twice chance. The logs are bit-reproducible on one numpy and BLAS
+build and one CPU, so the hashes are stored with the fingerprint that
+produced them and the hash check skips on any other. A change that moves a
+log on purpose updates the hash here and says why.
 """
 
 import hashlib
@@ -13,12 +15,8 @@ import platform
 import numpy as np
 import pytest
 
-from kanfed.config import derive_trial_seed
-from kanfed.data import LABELS_PER_CLIENT, N_CLIENTS, load_mnist, pathological_partition
-from kanfed.federation import FederationConfig, run_trial
-from kanfed.metrics import strip_timing, write_logs
-from kanfed.models import default_config
-from kanfed.numerics import RngStream
+from kanfed import cli
+from kanfed.metrics import read_logs, strip_timing
 
 GOLDEN_FINGERPRINT = {
     "numpy": "2.4.6",
@@ -26,9 +24,9 @@ GOLDEN_FINGERPRINT = {
     "cpu": "Intel(R) Xeon(R) Processor",
 }
 GOLDEN_SHA256 = {
-    "mlp": "4483d2b57696e8b0a0e5c59494bc8dc2ec1378d781986ae098c323f3078631e2",
-    "spline_kan": "5cba882b2d2bb3d2d0fc2cd35b67981808cbf66e47090894c5c457feb25abbc7",
-    "rbf_kan": "96c6d4290539185896dbfaa95790500b6b4d93647acb63e52c7bd14caa2e417f",
+    "mlp": "4cd02310dcf6327f399a2148cddd5c8afe1f8c009de4eefaa98cb56c5a4e4656",
+    "spline_kan": "21bb1ee9a8ca85a08830a0dffb6ac7e690c6fb683e5e0e64f75c8245c707ff80",
+    "rbf_kan": "f33c0b95dd2f32a5b05fff872017525581321ffccddf3a219fada5f4b84ddea2",
 }
 
 
@@ -49,17 +47,17 @@ def fingerprint() -> dict:
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
 def test_golden_log(synth_idx_dir, tmp_path, kind):
+    # lr 0.003 keeps all three models finite, so no NaN can hide a change
+    (tmp_path / "golden.cfg").write_text("lr = 0.003\n")
+    assert cli.main(["run", "--config", str(tmp_path / "golden.cfg"), "--models", kind,
+                     "--seed", "7", "--trials", "1", "--rounds", "8",
+                     "--data-dir", str(synth_idx_dir), "--out-dir", str(tmp_path / "runs")]) == 0
+    path = tmp_path / "runs" / f"{kind}_trial00.jsonl"
+    records = read_logs(path).records
+    assert all(np.isfinite([r.test_loss, r.train_loss]).all() for r in records)
+    assert max(r.test_acc for r in records) >= 0.2  # twice chance: the model learns
     here = fingerprint()
     if here != GOLDEN_FINGERPRINT:
         pytest.skip(f"golden logs were made on {GOLDEN_FINGERPRINT}, this is {here}")
-    train, test = load_mnist(synth_idx_dir)
-    seed = derive_trial_seed(7, kind, 0)
-    parts = pathological_partition(train, N_CLIENTS, LABELS_PER_CLIENT, RngStream(seed))
-    # lr 0.003 keeps all three models finite, so no NaN can hide a change
-    trial = run_trial(default_config(kind), FederationConfig(n_rounds=2, lr=0.003),
-                      train, test, parts, seed, trial_id=f"{kind}:0")
-    write_logs(trial, tmp_path / "log.jsonl")
-    log = strip_timing(tmp_path / "log.jsonl")
-    assert all(np.isfinite([r["test_loss"], r["train_loss"]]).all() for r in log[:-1])
-    digest = hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(strip_timing(path), sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN_SHA256[kind]

@@ -110,6 +110,16 @@ class TestLogs:
         back = read_logs(path)
         assert back == trial
 
+    def test_nan_losses_read_back(self, tmp_path):
+        # a diverged round's losses are NaN, which the log keeps
+        trial = make_trial()
+        trial.records[1].test_loss = trial.records[1].train_loss = math.nan
+        path = tmp_path / "t.jsonl"
+        write_logs(trial, path)
+        back = read_logs(path).records[1]
+        assert math.isnan(back.test_loss) and math.isnan(back.train_loss)
+        assert math.isnan(strip_timing(path)[1]["test_loss"])
+
     def test_truncated_file_reports_missing_summary(self, tmp_path):
         trial = make_trial()
         path = tmp_path / "t.jsonl"
@@ -126,14 +136,21 @@ class TestLogs:
         lines = path.read_text().splitlines()
         lines[1] = "{not json"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="line 2"):
-            read_logs(path)
+        for read in (read_logs, strip_timing):
+            with pytest.raises(DataError, match="line 2"):
+                read(path)
 
     @pytest.mark.parametrize("lineno, corrupt, message", [
         (2, lambda obj: {k: v for k, v in obj.items() if k != "test_acc"}, "line 2 lacks test_acc"),
         (2, lambda obj: list(obj), "line 2 is not a JSON object"),
         (4, lambda obj: {k: v for k, v in obj.items() if k != "n_rounds"}, "line 4 lacks n_rounds"),
-    ], ids=["round_lacks_field", "not_an_object", "summary_lacks_field"])
+        (2, lambda obj: {**obj, "test_acc": None}, "line 2: test_acc is null, expected float"),
+        (4, lambda obj: {**obj, "total_time_s": None},
+         "line 4: total_time_s is null, expected float"),
+        (2, lambda obj: {**obj, "test_acc": "0.5"}, 'line 2: test_acc is "0.5", expected float'),
+        (2, lambda obj: {**obj, "test_acc": True}, "line 2: test_acc is true, expected float"),
+    ], ids=["round_lacks_field", "not_an_object", "summary_lacks_field", "null_accuracy",
+            "null_total_time", "text_accuracy", "bool_accuracy"])
     def test_malformed_line_is_data_error(self, tmp_path, capsys, lineno, corrupt, message):
         path = tmp_path / "t.jsonl"
         write_logs(make_trial(), path)
@@ -167,8 +184,9 @@ class TestLogs:
         write_logs(make_trial(), path)
         with open(path, "ab") as f:
             f.write(b"\xff\n")
-        with pytest.raises(DataError, match="not UTF-8 text"):
-            read_logs(path)
+        for read in (read_logs, strip_timing):
+            with pytest.raises(DataError, match="not UTF-8 text"):
+                read(path)
         assert cli.main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
 
