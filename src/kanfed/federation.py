@@ -7,17 +7,23 @@ the clients' momentum step, `sgd_momentum_step`, taken on that mean delta as a
 pseudo-gradient (FedAvgM). Client optimizer state never survives a round;
 server momentum persists for the whole trial.
 
-Each round's clients train on every CPU the process may use: the round forks
-one child per further CPU (`process_count`), and the parent and the children
-each train a share of the sampled clients through `_train_share`. A child
-holds the round's global params through the fork, sends one reply, its
-share's updates, and exits, so no child outlives its round's training.
-Aggregation, the server step and evaluation stay in the parent.
+Each round is trained, and the round before it evaluated, on every CPU the
+process may use. Phase r forks one child per further CPU (`process_count`)
+after round r - 1's server step, so each child holds that step's global
+params through the fork. Each process, the parent too, first evaluates (from
+phase 2 on) every n-th `EVAL_BATCH` batch of the test set, then trains its
+share of round r's clients (`split_shares` deals them by sample count). A
+child sends one reply, its batches' sums and its share's updates, and exits,
+so no child outlives its phase. One evaluation-only phase follows the last
+round. Combining the sums, aggregation and the server step stay in the
+parent.
 
 Determinism contract: every random decision comes from a substream keyed by
-(seed, round, client), each process runs BLAS on one thread, and `aggregate`
-sums the round in client-id order, so the logs do not depend on which process
-trained a client, nor on how many processes there are.
+(seed, round, client), each process runs BLAS on one thread, `aggregate`
+sums the round in client-id order, and `combine_batches` adds the batches'
+sums in batch order, as `evaluate` does. So the logs depend neither on
+which process trained a client or evaluated a batch, nor on how many
+processes there are.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from . import numerics
 from .data import ClientPartition, Dataset
 from .errors import ConfigurationError, InternalError
-from .metrics import RoundRecord, TrialSummary, evaluate
+from .metrics import RoundRecord, TrialSummary, batch_starts, combine_batches, evaluate
 from .models import ModelConfig, ModelState, backward, forward, init_params
 from .numerics import RngStream, sgd_momentum_step, softmax_cross_entropy
 
@@ -176,32 +182,39 @@ def process_count(n_sampled: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_sampled))
 
 
-def _train_share(model, share, rnd, partitions, train, fed_cfg, rng) -> list[ClientUpdate]:
-    """The updates of the clients in share, each trained from model's params
-    on its (round, client) substream."""
-    return [local_train(model, partitions[cid], train, fed_cfg,
-                        rng.child("local", str(rnd), str(cid)))
-            for cid in share]
+def split_shares(sampled: list[int], partitions: list[ClientPartition],
+                 n_procs: int) -> list[list[int]]:
+    """The sampled clients dealt out to n_procs shares, largest client first
+    (ties to the lower client id), each to the share with the fewest samples
+    so far (ties to the lower share), so that the shares train about equally
+    long. Each share lists its clients in the order they were dealt."""
+    shares: list[list[int]] = [[] for _ in range(n_procs)]
+    samples = [0] * n_procs
+    for cid in sorted(sampled, key=lambda c: (-len(partitions[c]), c)):
+        k = samples.index(min(samples))
+        shares[k].append(cid)
+        samples[k] += len(partitions[cid])
+    return shares
 
 
-def _train_round(shares, model, rnd, partitions, train, fed_cfg, rng) -> list[ClientUpdate]:
-    """The updates of every share's clients. One child is forked per share
-    after the first and holds the round's global params through the fork. It
-    replies once, with its share's updates or the exception that training
-    them raised, and exits. Meanwhile this process trains shares[0]; only
-    then does it read the replies, in share order. So a child sends its whole
-    share at once: a delta outgrows the pipe's buffer, and a send per client
-    would stall the child's training until then. The children are killed and
+def _fork_phase(n_procs: int, work) -> list:
+    """[work(0), ..., work(n_procs - 1)]. This process runs work(0); one child
+    is forked for each other k, runs work(k) on what this process held at the
+    fork (the round's global params among it), replies once, with the result
+    or the exception that work(k) raised, and exits. Only after work(0) does
+    this process read the replies, in order. So a child sends its whole
+    result at once: a share's deltas outgrow the pipe's buffer, and a send
+    per client would stall the child until then. The children are killed and
     joined on every way out."""
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
 
-    def child(conn, share):
+    def child(conn, k):
         for end in conns:  # else a child's reply to a dead parent blocks, not fails
             end.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's to handle
         try:
-            reply = _train_share(model, share, rnd, partitions, train, fed_cfg, rng)
+            reply = work(k)
         except Exception as e:
             reply = e
         try:
@@ -210,14 +223,14 @@ def _train_round(shares, model, rnd, partitions, train, fed_cfg, rng) -> list[Cl
             pass
 
     try:
-        for share in shares[1:]:
+        for k in range(1, n_procs):
             parent_end, child_end = ctx.Pipe(duplex=False)
             conns.append(parent_end)
-            proc = ctx.Process(target=child, args=(child_end, share))
+            proc = ctx.Process(target=child, args=(child_end, k))
             proc.start()
             procs.append(proc)
             child_end.close()  # else a dead child's pipe never reads as EOF here
-        updates = _train_share(model, shares[0], rnd, partitions, train, fed_cfg, rng)
+        replies = [work(0)]
         for conn in conns:
             try:
                 got = conn.recv()
@@ -225,8 +238,8 @@ def _train_round(shares, model, rnd, partitions, train, fed_cfg, rng) -> list[Cl
                 raise InternalError("a client worker exited mid-round") from None
             if isinstance(got, Exception):
                 raise got
-            updates += got
-        return updates
+            replies.append(got)
+        return replies
     finally:
         for proc in procs:
             proc.kill()
@@ -245,7 +258,11 @@ def run_trial(
     trial_seed: int,
     trial_id: str = "trial",
 ) -> TrialSummary:
-    """One complete federated run; metrics fully determined by the seeds."""
+    """One complete federated run; metrics fully determined by the seeds.
+
+    Phase r evaluates round r - 1's global params and trains round r's
+    clients; phase n_rounds + 1 only evaluates. Round r's `elapsed_s` spans
+    phase r, and the last round's also the phase that evaluates it."""
     t0 = time.perf_counter()
     rng = RngStream(trial_seed)
     global_model = init_params(model_config, rng)
@@ -256,28 +273,47 @@ def run_trial(
     n_clients = len(partitions)
     n_sampled = fed_cfg.clients_per_round(n_clients)
     n_procs = process_count(n_sampled)
+    # process k evaluates every n_procs-th batch of the test set, from the k-th
+    eval_shares = [batch_starts(len(test))[k::n_procs] for k in range(n_procs)]
     records = []
-    for rnd in range(1, fed_cfg.n_rounds + 1):
+    trained = None  # the last round's train stats and start, until a phase evaluates it
+    for rnd in range(1, fed_cfg.n_rounds + 2):
         r0 = time.perf_counter()
-        sampled = sample_clients(n_clients, n_sampled, rnd, rng)
-        # this process trains shares[0], a child forked for the round each other share
-        shares = [sampled[k::n_procs] for k in range(n_procs)]
-        updates = _train_round(shares, global_model, rnd, partitions, train, fed_cfg, rng)
-        pseudo_gradient, train_loss, train_acc = aggregate(updates)
-        server_step(server, pseudo_gradient, fed_cfg.server_momentum)
-        del updates, pseudo_gradient  # evaluation holds no client delta
-        test_acc, test_loss = evaluate(global_model, test)
-        records.append(
-            RoundRecord(
-                round=rnd,
-                test_acc=test_acc,
-                test_loss=test_loss,
-                train_acc=train_acc,
-                train_loss=train_loss,
-                elapsed_s=time.perf_counter() - r0,
-                sampled_clients=sampled,
+        training = rnd <= fed_cfg.n_rounds
+        sampled = sample_clients(n_clients, n_sampled, rnd, rng) if training else []
+        shares = split_shares(sampled, partitions, n_procs)
+
+        def work(k):
+            # evaluate before training, so no delta of this phase is alive meanwhile;
+            # each client trains from the global params on its (round, client) substream
+            sums = evaluate(global_model, test, eval_shares[k]) if trained else []
+            return sums, [local_train(global_model, partitions[cid], train, fed_cfg,
+                                      rng.child("local", str(rnd), str(cid)))
+                          for cid in shares[k]]
+
+        replies = _fork_phase(n_procs, work)
+        if trained:
+            test_acc, test_loss = combine_batches([s for sums, _ in replies for s in sums],
+                                                  len(test))
+            train_acc, train_loss, trained_sampled, trained_r0 = trained
+            records.append(
+                RoundRecord(
+                    round=rnd - 1,
+                    test_acc=test_acc,
+                    test_loss=test_loss,
+                    train_acc=train_acc,
+                    train_loss=train_loss,
+                    elapsed_s=(r0 if training else time.perf_counter()) - trained_r0,
+                    sampled_clients=trained_sampled,
+                )
             )
-        )
+        if training:
+            pseudo_gradient, train_loss, train_acc = aggregate(
+                [u for _, updates in replies for u in updates])
+            del replies  # the next phase's evaluation holds no client delta
+            server_step(server, pseudo_gradient, fed_cfg.server_momentum)
+            del pseudo_gradient
+            trained = (train_acc, train_loss, sampled, r0)
     return TrialSummary(
         trial_id=trial_id,
         model=model_config.kind,

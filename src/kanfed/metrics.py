@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, write_atomic
-from .errors import DataError, ReportError
+from .errors import DataError, InternalError, ReportError
 from .models import ModelState, forward
 from .numerics import per_sample_nll
 
@@ -42,7 +42,12 @@ class TrialSummary:
     total_time_s: float
 
 
-def evaluate(model: ModelState, test: Dataset) -> tuple[float, float]:
+def batch_starts(n: int) -> range:
+    """The first row of each `EVAL_BATCH`-row batch of an n-row test set."""
+    return range(0, n, EVAL_BATCH)
+
+
+def evaluate(model: ModelState, test: Dataset, starts=None):
     """Accuracy and mean cross-entropy on the full test set.
 
     Batched for memory only, and one batch at a time: only a batch's logits
@@ -52,24 +57,40 @@ def evaluate(model: ModelState, test: Dataset) -> tuple[float, float]:
     and is bit-identical only at the same `EVAL_BATCH`. Argmax ties break
     toward the lowest class index. Reads the pixel codes when the dataset
     is codes (bit-identical to reading its decoded images).
+
+    Given `starts`, some of `batch_starts(len(test))`, it evaluates only those
+    batches and returns their (start, correct count, loss sum), for
+    `combine_batches` to add up with the other processes' batches.
     """
-    n = len(test)
     inputs = test.model_inputs
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, n, EVAL_BATCH):
-        imgs = inputs[start : start + EVAL_BATCH]
+    sums = []
+    for start in batch_starts(len(test)) if starts is None else starts:
         labs = test.labels[start : start + EVAL_BATCH]
-        logits = forward(model, imgs)[0]
-        correct += int((np.argmax(logits, axis=1) == labs).sum())
-        loss_sum += float(per_sample_nll(logits, labs).sum())
+        logits = forward(model, inputs[start : start + EVAL_BATCH])[0]
+        sums.append((start, int((np.argmax(logits, axis=1) == labs).sum()),
+                     float(per_sample_nll(logits, labs).sum())))
+    return sums if starts is not None else combine_batches(sums, len(test))
+
+
+def combine_batches(sums, n: int) -> tuple[float, float]:
+    """`evaluate`'s accuracy and mean loss from the (start, correct count,
+    loss sum) of every batch of an n-row test set, in any order: the sums
+    are added in batch order, as `evaluate` adds them, so the bits agree."""
+    sums = sorted(sums)
+    if [start for start, _, _ in sums] != list(batch_starts(n)):
+        raise InternalError("the evaluated batches do not cover the test set once each")
+    correct, loss_sum = 0, 0.0
+    for _, batch_correct, batch_loss in sums:
+        correct += batch_correct
+        loss_sum += batch_loss
     return correct / n, loss_sum / n
 
 
 # the JSON type each log key must hold, named as the dataclass fields' annotations
 # are (text, under `from __future__ import annotations`); a number is never a
 # bool, and a float may be NaN, as a diverged round's losses are
-_ROUND_TYPES = {f.name: f.type for f in fields(RoundRecord)}
+_RECORD_TYPES = {f.name: f.type for f in fields(RoundRecord)}
+_ROUND_TYPES = {"trial_id": "str", "model": "str", **_RECORD_TYPES}
 _SUMMARY_TYPES = {"trial_id": "str", "model": "str", "seed": "int", "n_rounds": "int",
                   "total_time_s": "float"}
 _HOLDS = {
@@ -97,6 +118,7 @@ def write_logs(trial: TrialSummary, path) -> None:
 
 def read_logs(path) -> TrialSummary:
     records = []
+    owners = []  # (line number, trial_id, model) of each round line
     summary = None
     try:
         with open(path, encoding="utf-8") as f:
@@ -126,11 +148,17 @@ def read_logs(path) -> TrialSummary:
             if obj["round"] != len(records) + 1:
                 raise DataError(f"{path}: line {lineno} is round {obj['round']}, "
                                 f"expected round {len(records) + 1}")
-            records.append(RoundRecord(**{k: obj[k] for k in types}))
+            records.append(RoundRecord(**{k: obj[k] for k in _RECORD_TYPES}))
+            owners.append((lineno, obj["trial_id"], obj["model"]))
         else:
             summary = obj
     if summary is None:
         raise DataError(f"{path}: missing trial summary line (truncated file?)")
+    for lineno, trial_id, model in owners:
+        if (trial_id, model) != (summary["trial_id"], summary["model"]):
+            raise DataError(f"{path}: line {lineno} is a round of {model} trial {trial_id!r}, "
+                            f"but the summary's trial is {summary['model']} "
+                            f"{summary['trial_id']!r}")
     if summary["n_rounds"] != len(records):
         raise DataError(
             f"{path}: summary says {summary['n_rounds']} rounds, found {len(records)}"
@@ -145,13 +173,21 @@ def read_logs(path) -> TrialSummary:
 
 
 def scan_logs(log_dir) -> dict[str, list[TrialSummary]]:
-    """Read every *.jsonl trial log under log_dir, grouped by model kind."""
+    """Read every *.jsonl trial log under log_dir, grouped by model kind.
+
+    Two logs of one trial_id are a data error: a copied log would otherwise
+    count as one more trial."""
     log_dir = Path(log_dir)
     if not log_dir.is_dir():
         raise ReportError(f"log directory {log_dir} does not exist")
     groups: dict[str, list[TrialSummary]] = {}
+    paths: dict[str, Path] = {}  # trial_id -> its log
     for path in sorted(log_dir.glob("*.jsonl")):
         trial = read_logs(path)
+        if trial.trial_id in paths:
+            raise DataError(f"{paths[trial.trial_id]} and {path} both hold trial "
+                            f"{trial.trial_id!r}; remove the copy")
+        paths[trial.trial_id] = path
         groups.setdefault(trial.model, []).append(trial)
     if not groups:
         raise ReportError(f"no trial logs found under {log_dir}")

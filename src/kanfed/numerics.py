@@ -5,7 +5,8 @@ identical inputs give identical outputs on every run with the same numpy/BLAS
 build. OpenBLAS splits a matrix product differently on 1 and on 2 threads, so
 importing this module sets every OpenBLAS mapped into the process, numpy's
 among them, to one thread (`BLAS_THREADS`), whatever `OPENBLAS_NUM_THREADS`
-says. Matrices are plain 2-D ``np.ndarray`` with dtype float64, row-major.
+says, and reads the core its kernels were chosen for (`BLAS_CORE`). Matrices
+are plain 2-D ``np.ndarray`` with dtype float64, row-major.
 """
 
 from __future__ import annotations
@@ -17,9 +18,28 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, InternalError
 
-# the thread-count setters of the OpenBLAS builds numpy ships or links against
+# the thread-count setters and the core-name getters of the OpenBLAS builds
+# numpy ships or links against
 OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+OPENBLAS_CORENAMES = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                      "openblas_get_corename64_", "openblas_get_corename")
+
+
+def _mapped_openblas() -> list[str] | None:
+    """The paths of every OpenBLAS mapped into this process, sorted; None
+    where there is no /proc/self/maps to find them in."""
+    try:
+        with open("/proc/self/maps") as f:
+            # the path is the sixth field, and may hold spaces
+            return sorted({line.rstrip("\n").split(maxsplit=5)[5] for line in f
+                           if "openblas" in line.lower()})
+    except OSError:
+        return None
+
+
+def _symbol(lib, names):
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
 
 
 def pin_blas_threads() -> int | str:
@@ -31,12 +51,8 @@ def pin_blas_threads() -> int | str:
     where there is no /proc/self/maps to find them in: numpy's thread count,
     and with it the logs, may then be left to the BLAS.
     """
-    try:
-        with open("/proc/self/maps") as f:
-            # the path is the sixth field, and may hold spaces
-            paths = sorted({line.rstrip("\n").split(maxsplit=5)[5] for line in f
-                            if "openblas" in line.lower()})
-    except OSError:
+    paths = _mapped_openblas()
+    if paths is None:
         return "unpinned"
     pinned = unopened = 0
     for path in paths:
@@ -45,7 +61,7 @@ def pin_blas_threads() -> int | str:
         except OSError:  # e.g. "/x/libopenblas.so (deleted)"
             unopened += 1
             continue
-        setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS if hasattr(lib, name)), None)
+        setter = _symbol(lib, OPENBLAS_SETTERS)
         if setter is not None:
             setter.argtypes, setter.restype = [ctypes.c_int], None
             setter(1)
@@ -53,7 +69,28 @@ def pin_blas_threads() -> int | str:
     return 1 if pinned and not unopened else "unpinned"
 
 
+def blas_core() -> str:
+    """The CPU core whose kernels the mapped OpenBLAS runs, as it names it
+    ("SkylakeX"; `OPENBLAS_CORETYPE` can choose another). Distinct names of
+    several OpenBLAS are joined by ","; "unknown" where none has one of
+    `OPENBLAS_CORENAMES`. The kernels round differently, so the logs' last
+    bits depend on this name, not only on the BLAS build and the CPU."""
+    names = set()
+    for path in _mapped_openblas() or ():
+        try:
+            getter = _symbol(ctypes.CDLL(path), OPENBLAS_CORENAMES)
+        except OSError:
+            continue
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            name = getter()
+            if name:
+                names.add(name.decode())
+    return ",".join(sorted(names)) or "unknown"
+
+
 BLAS_THREADS = pin_blas_threads()
+BLAS_CORE = blas_core()
 
 
 class RngStream:

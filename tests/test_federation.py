@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from kanfed import federation, numerics
+from kanfed import federation, metrics, numerics
 from kanfed.data import ClientPartition, pathological_partition
 from kanfed.errors import ConfigurationError, InternalError
 from kanfed.federation import (
@@ -26,6 +26,7 @@ from kanfed.federation import (
     run_trial,
     sample_clients,
     server_step,
+    split_shares,
 )
 from kanfed.metrics import evaluate
 from kanfed.models import ModelConfig, backward, default_config, forward, init_params
@@ -90,6 +91,37 @@ class TestSampleClients:
         hi = binom.ppf(0.995, 100, 0.1)
         assert counts.min() >= lo and counts.max() <= hi
         assert counts.min() >= 1  # every client participates at least once
+
+
+class TestSplitShares:
+    @staticmethod
+    def partitions(sizes):
+        return [ClientPartition(c, np.arange(n), frozenset()) for c, n in enumerate(sizes)]
+
+    @pytest.mark.parametrize("n_procs, expected", [
+        (1, [[1, 2, 4, 0, 5, 3]]),
+        (2, [[1, 4, 3], [2, 0, 5]]),
+        (3, [[1, 5], [2, 3], [4, 0]]),
+    ])
+    def test_largest_first_to_fewest_samples(self, n_procs, expected):
+        # dealt 1 and 2 (9 samples each, the lower id first), 4 (7), 0 and 5
+        # (5 each), 3 (3); each to the share with the fewest samples so far,
+        # ties to the lower share, whatever order the clients were sampled in
+        parts = self.partitions([5, 9, 9, 3, 7, 5])
+        for sampled in ([0, 1, 2, 3, 4, 5], [5, 3, 1, 0, 4, 2]):
+            assert split_shares(sampled, parts, n_procs) == expected
+
+    def test_each_client_once_and_balanced(self):
+        gen = RngStream(21).gen
+        parts = self.partitions(gen.integers(1, 900, 100))
+        sampled = sample_clients(100, 10, 1, RngStream(22))
+        for n_procs in (1, 2, 3, 4):
+            shares = split_shares(sampled, parts, n_procs)
+            assert split_shares(sampled, parts, n_procs) == shares
+            assert sorted(c for share in shares for c in share) == sampled
+            # the fullest share was the emptiest when it took its last client
+            samples = [sum(len(parts[c]) for c in share) for share in shares]
+            assert max(samples) - min(samples) <= max(len(parts[c]) for c in sampled)
 
 
 class TestLocalTrain:
@@ -365,55 +397,72 @@ class TestRunTrial:
         assert len(records[0]) == 2 and records[0] == records[1]
 
     def test_parallel_matches_serial(self, small_data, monkeypatch):
-        # one process, then the parent and three forked workers: the same records
+        # one process, then the parent and one to three forked workers, each
+        # evaluating its share of the test set's four batches: the same records
         train, test = small_data
+        monkeypatch.setattr(metrics, "EVAL_BATCH", 64)
         parts = pathological_partition(train, 10, 2, RngStream(13))
         fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.5)
         runs = []
-        for cpus in ({0}, {0, 1, 2, 3}):
+        for cpus in ({0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             assert process_count(5) == len(cpus)
             trial = run_trial(small_model(), fed, train, test, parts, 14, "s")
             runs.append([repr({**asdict(r), "elapsed_s": None}) for r in trial.records])
             assert multiprocessing.active_children() == []
-        assert len(runs[0]) == 2 and runs[0] == runs[1]
+        assert len(runs[0]) == 2 and runs[0] == runs[1] == runs[2] == runs[3]
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_no_client_update_alive_during_evaluate(self, small_data, monkeypatch, processes):
+        # each process evaluates its batches before it trains its clients, and
+        # the parent frees the last round's updates before it forks the next
+        # phase, so no update is alive in a process while it evaluates; no
+        # child outlives its phase
         train, test = small_data
         parts = pathological_partition(train, 10, 2, RngStream(17))
         fed = FederationConfig(n_rounds=2, local_epochs=1, clients_per_round_fraction=0.3)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
-        # aggregate sees every update of the round, the workers' included;
-        # ClientUpdate is an unhashable dataclass, so weak references, not a WeakSet
+        parent = os.getpid()
+        # every update this process trained; ClientUpdate is an unhashable
+        # dataclass, so weak references, not a WeakSet
         updates = []
-        evaluated = []
-        aggregate, evaluate = federation.aggregate, federation.evaluate
+        evaluated, phases = [], []
+        local_train, evaluate = federation.local_train, federation.evaluate
+        fork_phase = federation._fork_phase
 
-        def recording_aggregate(round_updates):
-            updates.extend(weakref.ref(u) for u in round_updates)
-            return aggregate(round_updates)
+        def recording_local_train(*args):
+            update = local_train(*args)
+            updates.append(weakref.ref(update))
+            return update
 
         def checking_evaluate(*args):
+            # a child's failed assertion is its reply, raised in the parent
             alive = sum(ref() is not None for ref in updates)
             assert alive == 0, f"{alive} client updates alive during evaluate"
-            assert multiprocessing.active_children() == []
-            evaluated.append(True)
+            if os.getpid() == parent:
+                evaluated.append(True)
             return evaluate(*args)
 
-        monkeypatch.setattr(federation, "aggregate", recording_aggregate)
+        def checking_fork_phase(*args):
+            replies = fork_phase(*args)
+            assert multiprocessing.active_children() == []
+            phases.append(True)
+            return replies
+
+        monkeypatch.setattr(federation, "local_train", recording_local_train)
         monkeypatch.setattr(federation, "evaluate", checking_evaluate)
+        monkeypatch.setattr(federation, "_fork_phase", checking_fork_phase)
         run_trial(small_model(), fed, train, test, parts, 18, "w")
-        assert len(evaluated) == 2 and len(updates) == 2 * 3
+        # phases 2 and 3 evaluate rounds 1 and 2; the parent trains at least
+        # one of each round's three clients
+        assert len(phases) == 3 and len(evaluated) == 2 and len(updates) >= 2
 
 
-def four_clients(train, empty_id=None):
-    """Four clients over the train split; client empty_id, if any, holds nothing."""
-    chunks = np.array_split(np.arange(len(train)), 4 if empty_id is None else 3)
-    if empty_id is not None:
-        chunks.insert(empty_id, np.array([], dtype=np.int64))
+def four_clients(train, sizes=(150, 150, 150, 150)):
+    """Four clients of the given sizes over the first rows of the train split."""
+    ends = np.cumsum(sizes)
     return [ClientPartition(client_id=c, indices=ix, label_set=frozenset(train.labels[ix]))
-            for c, ix in enumerate(chunks)]
+            for c, ix in enumerate(np.arange(e - n, e) for n, e in zip(sizes, ends))]
 
 
 SRC, TESTS = (Path(__file__).resolve().parent.parent / d for d in ("src", "tests"))
@@ -479,11 +528,24 @@ class TestWorkers:
 
     @pytest.mark.parametrize("empty_id", [1, 2, 3])
     def test_worker_error_raised_in_parent(self, small_data, empty_id):
-        # client 1 fails in the worker, client 2 in the parent, client 3 in the
-        # worker after client 1 trained: the same error
+        # three clients of 200 samples and an empty one, dealt last to the
+        # worker: it fails there after the worker trained 2 (for 1) or 1 (for
+        # 2 and 3); the parent raises the same error
         train, test = small_data
-        parts = four_clients(train, empty_id)
+        sizes = [200] * 4
+        sizes[empty_id] = 0
+        parts = four_clients(train, sizes)
+        assert split_shares([0, 1, 2, 3], parts, 2)[1][-1] == empty_id
         with pytest.raises(InternalError, match=f"^client {empty_id} has no data$"):
+            run_trial(small_model(), self.FED, train, test, parts, 19)
+
+    def test_parent_error_ends_worker(self, small_data):
+        # clients of 200, 100, 100 and 0 samples: the parent trains client 0
+        # and then fails on client 3, which the tie dealt to it
+        train, test = small_data
+        parts = four_clients(train, (200, 100, 100, 0))
+        assert split_shares([0, 1, 2, 3], parts, 2) == [[0, 3], [1, 2]]
+        with pytest.raises(InternalError, match="^client 3 has no data$"):
             run_trial(small_model(), self.FED, train, test, parts, 19)
 
     def test_worker_killed_mid_round_raises(self, small_data, monkeypatch):

@@ -3,9 +3,10 @@
 Each trial is what `kanfed run --seed 7 --trials 1 --rounds 8` writes at lr
 0.003 on `synth_idx_dir`. Every model must learn: its best test accuracy is
 at least twice chance. The logs are bit-reproducible on one numpy and BLAS
-build and one CPU, so the hashes are stored with the fingerprint that
-produced them and the hash check skips on any other. A change that moves a
-log on purpose updates the hash here and says why.
+build, one OpenBLAS kernel (`OPENBLAS_CORETYPE` can choose another) and one
+CPU, so the hashes are stored with the fingerprint that produced them and
+the hash check skips on any other. A change that moves a log on purpose
+updates the hash here and says why.
 """
 
 import hashlib
@@ -15,12 +16,13 @@ import platform
 import numpy as np
 import pytest
 
-from kanfed import cli
+from kanfed import cli, numerics
 from kanfed.metrics import read_logs, strip_timing
 
 GOLDEN_FINGERPRINT = {
     "numpy": "2.4.6",
     "blas": "scipy-openblas 0.3.31.188.0",
+    "blas_core": "SkylakeX",
     "cpu": "Intel(R) Xeon(R) Processor",
 }
 GOLDEN_SHA256 = {
@@ -41,6 +43,7 @@ def fingerprint() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": numerics.BLAS_CORE,
         "cpu": cpu or platform.processor() or "unknown",
     }
 

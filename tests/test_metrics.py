@@ -7,10 +7,12 @@ import pytest
 
 from kanfed import cli, metrics
 from kanfed.data import Dataset
-from kanfed.errors import DataError, ReportError
+from kanfed.errors import DataError, InternalError, ReportError
 from kanfed.metrics import (
     RoundRecord,
     TrialSummary,
+    batch_starts,
+    combine_batches,
     evaluate,
     read_logs,
     scan_logs,
@@ -81,6 +83,28 @@ class TestEvaluate:
         assert a[0] == b[0]
         assert abs(a[1] - b[1]) < 1e-12
 
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_split_evaluation_bit_identical(self, processes):
+        # run_trial's processes each evaluate every processes-th batch, and the
+        # parent adds their sums up: the bits of evaluate's, in any reply order
+        test = make_synth_dataset(2100, 45)  # four full batches and one of 52 rows
+        state = init_params(default_config("mlp"), RngStream(46))
+        starts = batch_starts(len(test))
+        assert len(starts) == 5
+        sums = [s for k in reversed(range(processes))
+                for s in evaluate(state, test, starts[k::processes])]
+        acc, loss = combine_batches(sums, len(test))
+        expected = evaluate(state, test)
+        assert (acc.hex(), loss.hex()) == (expected[0].hex(), expected[1].hex())
+
+    def test_combine_needs_every_batch_once(self):
+        test = make_synth_dataset(1100, 47)
+        sums = evaluate(init_params(default_config("mlp"), RngStream(48)), test,
+                        batch_starts(len(test)))
+        for bad in (sums[1:], sums + sums[:1]):
+            with pytest.raises(InternalError, match="do not cover the test set once"):
+                combine_batches(bad, len(test))
+
     @pytest.mark.parametrize("kind", ["spline_kan", "rbf_kan"])
     def test_holds_one_batch_at_a_time(self, kind, monkeypatch):
         # three 512-row batches: evaluate's peak is about one batch's forward,
@@ -149,8 +173,11 @@ class TestLogs:
          "line 4: total_time_s is null, expected float"),
         (2, lambda obj: {**obj, "test_acc": "0.5"}, 'line 2: test_acc is "0.5", expected float'),
         (2, lambda obj: {**obj, "test_acc": True}, "line 2: test_acc is true, expected float"),
+        # an MLP log whose round 1 is relabelled as a round of another trial
+        (1, lambda obj: {**obj, "model": "rbf_kan", "trial_id": "rbf_kan:3"},
+         "line 1 is a round of rbf_kan trial 'rbf_kan:3', but the summary's trial is mlp 't0'"),
     ], ids=["round_lacks_field", "not_an_object", "summary_lacks_field", "null_accuracy",
-            "null_total_time", "text_accuracy", "bool_accuracy"])
+            "null_total_time", "text_accuracy", "bool_accuracy", "round_of_another_trial"])
     def test_malformed_line_is_data_error(self, tmp_path, capsys, lineno, corrupt, message):
         path = tmp_path / "t.jsonl"
         write_logs(make_trial(), path)
@@ -212,6 +239,19 @@ class TestLogs:
         assert sorted(groups) == ["mlp", "spline_kan"]
         assert len(groups["mlp"]) == 3
         assert len(groups["spline_kan"]) == 2
+
+    def test_copied_log_is_data_error(self, tmp_path, capsys):
+        # a copy would count as a third trial of the two this run made
+        for i in range(2):
+            write_logs(make_trial(f"mlp:{i}", "mlp", i), tmp_path / f"mlp_trial{i:02d}.jsonl")
+        (tmp_path / "copy.jsonl").write_bytes((tmp_path / "mlp_trial00.jsonl").read_bytes())
+        message = (f"{tmp_path / 'copy.jsonl'} and {tmp_path / 'mlp_trial00.jsonl'} "
+                   "both hold trial 'mlp:0'")
+        with pytest.raises(DataError) as e:
+            scan_logs(tmp_path)
+        assert str(e.value).startswith(message)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_failed_write_keeps_previous_files(self, tmp_path):
         manifest = tmp_path / "manifest.json"

@@ -1,6 +1,10 @@
 import ctypes
 import io
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +217,24 @@ class TestBlasPin:
                 threads[path] = getter()
         assert threads and set(threads.values()) == {1}, threads
 
+    def test_core_name_read(self):
+        # numpy's bundled OpenBLAS names the kernels it chose when it loaded
+        assert numerics.BLAS_CORE == numerics.blas_core() != "unknown"
+
+    def test_no_core_getter_unknown(self, monkeypatch):
+        monkeypatch.setattr(numerics, "OPENBLAS_CORENAMES", ("no_such_getter",))
+        assert numerics.blas_core() == "unknown"
+
+    @pytest.mark.skipif(platform.machine() != "x86_64", reason="Nehalem is an x86-64 kernel")
+    def test_core_name_follows_coretype_variable(self):
+        # another kernel rounds differently, so the name must say which one runs
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem", "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", "from kanfed import numerics; "
+                              "print(numerics.BLAS_CORE)"], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "Nehalem"
+
     def test_no_setter_unpinned(self, monkeypatch):
         monkeypatch.setattr(numerics, "OPENBLAS_SETTERS", ("no_such_setter",))
         assert numerics.pin_blas_threads() == "unpinned"
@@ -242,6 +264,7 @@ class TestBlasPin:
     def test_deleted_library_unpinned(self, tmp_path, monkeypatch):
         self.serve_maps(monkeypatch, f"{tmp_path / 'libscipy_openblas64_.so'} (deleted)")
         assert numerics.pin_blas_threads() == "unpinned"
+        assert numerics.blas_core() == "unknown"
 
     def test_one_deleted_library_unpinned(self, tmp_path, monkeypatch):
         # the one that cannot be opened may be numpy's, whatever the others say
