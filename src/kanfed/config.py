@@ -26,8 +26,8 @@ class ExperimentConfig:
     master_seed: int = 42
     data_dir: str = "data"
     out_dir: str = "runs"
-    n_rounds: int = 100
-    lr: float = 0.1
+    n_rounds: int = FederationConfig.n_rounds
+    lr: float = FederationConfig.lr
 
     def __post_init__(self):
         if not self.models or len(set(self.models)) != len(self.models):

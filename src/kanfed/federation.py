@@ -21,9 +21,11 @@ parent.
 Determinism contract: every random decision comes from a substream keyed by
 (seed, round, client), each process runs BLAS on one thread, `aggregate`
 sums the round in client-id order, and `combine_batches` adds the batches'
-sums in batch order, as `evaluate` does. So the logs depend neither on
-which process trained a client or evaluated a batch, nor on how many
-processes there are.
+sums in batch order, as `evaluate` does, and the train loss and accuracy
+are added left to right in the loops that make them (builtin `sum()`
+compensates from Python 3.12 on). So the logs depend neither on which
+process trained a client or evaluated a batch, nor on how many processes
+there are, nor on the Python version.
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def local_train(
     gen = rng.gen
     indices = part.indices
     inputs = train.model_inputs
-    last_losses: list[tuple[float, float, int]] = []
+    # the last epoch's sample-weighted loss and accuracy, added batch by batch
+    loss_sum = acc_sum = 0
     for epoch in range(cfg.local_epochs):
         order = gen.permutation(len(indices))
         for start in range(0, len(order), cfg.batch_size):
@@ -130,18 +133,16 @@ def local_train(
             backward(local, cache, grad_logits, out=grads)
             if epoch == cfg.local_epochs - 1:
                 acc = float((np.argmax(logits, axis=1) == labs).mean())
-                last_losses.append((loss, acc, len(sel)))
+                loss_sum += loss * len(sel)
+                acc_sum += acc * len(sel)
             sgd_momentum_step(local.params, grads, velocity, cfg.lr, cfg.client_momentum)
             del logits, cache, grad_logits  # else alive while the next forward runs
-    n = sum(c for _, _, c in last_losses)
-    train_loss = sum(l * c for l, _, c in last_losses) / n
-    train_acc = sum(a * c for _, a, c in last_losses) / n
     return ClientUpdate(
         client_id=part.client_id,
         delta=local.params - global_model.params,
         n_samples=len(part),
-        train_loss=train_loss,
-        train_acc=train_acc,
+        train_loss=loss_sum / len(part),  # the last epoch visits each sample once
+        train_acc=acc_sum / len(part),
     )
 
 
@@ -156,11 +157,12 @@ def aggregate(updates: list[ClientUpdate]) -> tuple[np.ndarray, float, float]:
         raise InternalError("client deltas have inconsistent lengths")
     total = sum(u.n_samples for u in updates)
     out = np.zeros(length, dtype=np.float64)
+    loss_sum = acc_sum = 0
     for u in updates:
         out += (u.n_samples / total) * u.delta
-    train_loss = sum(u.train_loss * u.n_samples for u in updates) / total
-    train_acc = sum(u.train_acc * u.n_samples for u in updates) / total
-    return out, train_loss, train_acc
+        loss_sum += u.train_loss * u.n_samples
+        acc_sum += u.train_acc * u.n_samples
+    return out, loss_sum / total, acc_sum / total
 
 
 def server_step(
@@ -275,45 +277,40 @@ def run_trial(
     n_procs = process_count(n_sampled)
     # process k evaluates every n_procs-th batch of the test set, from the k-th
     eval_shares = [batch_starts(len(test))[k::n_procs] for k in range(n_procs)]
-    records = []
-    trained = None  # the last round's train stats and start, until a phase evaluates it
+    records: list[RoundRecord] = []
+    starts = []  # each phase's start
     for rnd in range(1, fed_cfg.n_rounds + 2):
-        r0 = time.perf_counter()
-        training = rnd <= fed_cfg.n_rounds
-        sampled = sample_clients(n_clients, n_sampled, rnd, rng) if training else []
+        starts.append(time.perf_counter())
+        # no client trains in the phase after the last round
+        sampled = (sample_clients(n_clients, n_sampled, rnd, rng)
+                   if rnd <= fed_cfg.n_rounds else [])
         shares = split_shares(sampled, partitions, n_procs)
 
         def work(k):
             # evaluate before training, so no delta of this phase is alive meanwhile;
             # each client trains from the global params on its (round, client) substream
-            sums = evaluate(global_model, test, eval_shares[k]) if trained else []
+            sums = evaluate(global_model, test, eval_shares[k]) if records else []
             return sums, [local_train(global_model, partitions[cid], train, fed_cfg,
                                       rng.child("local", str(rnd), str(cid)))
                           for cid in shares[k]]
 
         replies = _fork_phase(n_procs, work)
-        if trained:
-            test_acc, test_loss = combine_batches([s for sums, _ in replies for s in sums],
-                                                  len(test))
-            train_acc, train_loss, trained_sampled, trained_r0 = trained
-            records.append(
-                RoundRecord(
-                    round=rnd - 1,
-                    test_acc=test_acc,
-                    test_loss=test_loss,
-                    train_acc=train_acc,
-                    train_loss=train_loss,
-                    elapsed_s=(r0 if training else time.perf_counter()) - trained_r0,
-                    sampled_clients=trained_sampled,
-                )
-            )
-        if training:
+        if records:
+            records[-1].test_acc, records[-1].test_loss = combine_batches(
+                [s for sums, _ in replies for s in sums], len(test))
+        if sampled:
             pseudo_gradient, train_loss, train_acc = aggregate(
                 [u for _, updates in replies for u in updates])
             del replies  # the next phase's evaluation holds no client delta
             server_step(server, pseudo_gradient, fed_cfg.server_momentum)
             del pseudo_gradient
-            trained = (train_acc, train_loss, sampled, r0)
+            # its test metrics come in the next phase, its elapsed_s after the last
+            records.append(RoundRecord(round=rnd, test_acc=np.nan, test_loss=np.nan,
+                                       train_acc=train_acc, train_loss=train_loss,
+                                       sampled_clients=sampled, elapsed_s=np.nan))
+    starts[-1] = time.perf_counter()  # the last round spans the phase that evaluates it
+    for record, start, end in zip(records, starts, starts[1:]):
+        record.elapsed_s = end - start
     return TrialSummary(
         trial_id=trial_id,
         model=model_config.kind,

@@ -154,6 +154,8 @@ def read_logs(path) -> TrialSummary:
             summary = obj
     if summary is None:
         raise DataError(f"{path}: missing trial summary line (truncated file?)")
+    if not records:  # `kanfed run` logs at least one round, and the report reads them
+        raise DataError(f"{path}: the log holds no rounds")
     for lineno, trial_id, model in owners:
         if (trial_id, model) != (summary["trial_id"], summary["model"]):
             raise DataError(f"{path}: line {lineno} is a round of {model} trial {trial_id!r}, "

@@ -26,35 +26,34 @@ OPENBLAS_CORENAMES = ("scipy_openblas_get_corename64_", "scipy_openblas_get_core
                       "openblas_get_corename64_", "openblas_get_corename")
 
 
-def _mapped_openblas() -> list[str] | None:
-    """The paths of every OpenBLAS mapped into this process, sorted; None
-    where there is no /proc/self/maps to find them in."""
-    try:
-        with open("/proc/self/maps") as f:
-            # the path is the sixth field, and may hold spaces
-            return sorted({line.rstrip("\n").split(maxsplit=5)[5] for line in f
-                           if "openblas" in line.lower()})
-    except OSError:
-        return None
-
-
 def _symbol(lib, names):
     return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
 
 
-def pin_blas_threads() -> int | str:
-    """Set every mapped OpenBLAS with one of `OPENBLAS_SETTERS` to one thread; returns 1.
+def pin_blas() -> tuple[int | str, str]:
+    """Set every mapped OpenBLAS with one of `OPENBLAS_SETTERS` to one thread
+    and name the core its kernels run; returns (1, core). Opens each once.
 
-    numpy's is among them, and scipy's where scipy was imported first. Returns
-    "unpinned" where none has a setter (another BLAS), where a mapped OpenBLAS
-    cannot be opened (a mapped file since deleted, which may be numpy's), or
-    where there is no /proc/self/maps to find them in: numpy's thread count,
-    and with it the logs, may then be left to the BLAS.
+    numpy's OpenBLAS is among them, and scipy's where scipy was imported
+    first. The 1 is "unpinned" where none has a setter (another BLAS), where a
+    mapped OpenBLAS cannot be opened (a mapped file since deleted, which may
+    be numpy's), or where there is no /proc/self/maps to find them in: numpy's
+    thread count, and with it the logs, may then be left to the BLAS.
+
+    The core is as OpenBLAS names it ("SkylakeX"; `OPENBLAS_CORETYPE` can
+    choose another), distinct names joined by ","; "unknown" where none has
+    one of `OPENBLAS_CORENAMES`. The kernels round differently, so the logs'
+    last bits depend on this name, not only on the BLAS build and the CPU.
     """
-    paths = _mapped_openblas()
-    if paths is None:
-        return "unpinned"
+    try:
+        with open("/proc/self/maps") as f:
+            # the path is the sixth field, and may hold spaces
+            paths = sorted({line.rstrip("\n").split(maxsplit=5)[5] for line in f
+                            if "openblas" in line.lower()})
+    except OSError:
+        return "unpinned", "unknown"
     pinned = unopened = 0
+    cores = set()
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -66,31 +65,16 @@ def pin_blas_threads() -> int | str:
             setter.argtypes, setter.restype = [ctypes.c_int], None
             setter(1)
             pinned += 1
-    return 1 if pinned and not unopened else "unpinned"
-
-
-def blas_core() -> str:
-    """The CPU core whose kernels the mapped OpenBLAS runs, as it names it
-    ("SkylakeX"; `OPENBLAS_CORETYPE` can choose another). Distinct names of
-    several OpenBLAS are joined by ","; "unknown" where none has one of
-    `OPENBLAS_CORENAMES`. The kernels round differently, so the logs' last
-    bits depend on this name, not only on the BLAS build and the CPU."""
-    names = set()
-    for path in _mapped_openblas() or ():
-        try:
-            getter = _symbol(ctypes.CDLL(path), OPENBLAS_CORENAMES)
-        except OSError:
-            continue
+        getter = _symbol(lib, OPENBLAS_CORENAMES)
         if getter is not None:
             getter.argtypes, getter.restype = [], ctypes.c_char_p
-            name = getter()
-            if name:
-                names.add(name.decode())
-    return ",".join(sorted(names)) or "unknown"
+            core = getter()
+            if core:
+                cores.add(core.decode())
+    return (1 if pinned and not unopened else "unpinned"), ",".join(sorted(cores)) or "unknown"
 
 
-BLAS_THREADS = pin_blas_threads()
-BLAS_CORE = blas_core()
+BLAS_THREADS, BLAS_CORE = pin_blas()
 
 
 class RngStream:

@@ -22,6 +22,7 @@ from .numerics import RngStream
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAXIT = 500
+CI_LEVEL = 0.95  # of `bootstrap_ratio_ci`'s intervals, as `format_report` prints them
 
 
 @dataclass
@@ -132,9 +133,9 @@ def bootstrap_ratio_ci(
     den,
     rng: RngStream,
     resamples: int = 10000,
-    conf: float = 0.95,
 ) -> tuple[float, float]:
-    """Percentile CI for mean(num)/mean(den) from paired independent resamples."""
+    """`CI_LEVEL` percentile CI for mean(num)/mean(den) from paired independent
+    resamples."""
     num = np.asarray(num, dtype=np.float64)
     den = np.asarray(den, dtype=np.float64)
     if np.any(den <= 0):
@@ -143,7 +144,7 @@ def bootstrap_ratio_ci(
     idx_num = gen.integers(0, num.size, size=(resamples, num.size))
     idx_den = gen.integers(0, den.size, size=(resamples, den.size))
     ratios = num[idx_num].mean(axis=1) / den[idx_den].mean(axis=1)
-    alpha = (1.0 - conf) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(ratios, [alpha, 1.0 - alpha])
     return float(lo), float(hi)
 
@@ -269,7 +270,7 @@ def format_report(report: Report) -> str:
             )
         lines.append("")
     if report.time_rows:
-        lines.append("Execution time (ratio vs MLP, 95% bootstrap CI):")
+        lines.append(f"Execution time (ratio vs MLP, {CI_LEVEL:.0%} bootstrap CI):")
         lines.append(f"{'model':>12}{'mean s':>12}{'std err':>10}{'ratio':>18}")
         for row in report.time_rows:
             ratio = f"{row['ratio_lo']:.2f}x - {row['ratio_hi']:.2f}x"

@@ -1,4 +1,6 @@
+import math
 import multiprocessing
+import operator
 import os
 import signal
 import subprocess
@@ -7,6 +9,7 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,15 @@ def small_data():
 
 def small_model():
     return ModelConfig(kind="mlp", layer_widths=(784, 16, 10))
+
+
+def left_to_right(terms):
+    return reduce(operator.add, terms)
+
+
+# compensated summation (builtin sum() from Python 3.12 on) adds these to 2.0,
+# left to right they add to 0.0
+CANCELLING_LOSSES = [1.0, 1e100, 1.0, -1e100]
 
 
 def full_partition(train):
@@ -217,10 +229,23 @@ class TestLocalTrain:
         assert [len(y) for _, y, _ in calls] == [64, 64, 22] * 3
         # sample-weighted means over the last epoch's three batches, bit-exact
         last = calls[-3:]
-        loss = sum(l * len(y) for _, y, l in last) / 150
-        acc = sum(float((np.argmax(z, axis=1) == y).mean()) * len(y) for z, y, _ in last) / 150
+        loss = left_to_right(l * len(y) for _, y, l in last) / 150
+        acc = left_to_right(float((np.argmax(z, axis=1) == y).mean()) * len(y)
+                            for z, y, _ in last) / 150
         assert upd.train_loss == loss and upd.train_acc == acc
-        assert loss != sum(l * len(y) for _, y, l in calls) / 450
+        assert loss != left_to_right(l * len(y) for _, y, l in calls) / 450
+
+    def test_train_stats_added_left_to_right(self, small_data, monkeypatch):
+        train, _ = small_data
+        losses = iter(CANCELLING_LOSSES)
+        monkeypatch.setattr(federation, "softmax_cross_entropy",
+                            lambda logits, labels: (next(losses), np.zeros_like(logits)))
+        part = ClientPartition(0, np.arange(4), frozenset(np.unique(train.labels[:4])))
+        cfg = FederationConfig(n_rounds=1, local_epochs=1, batch_size=1)
+        upd = local_train(init_params(small_model(), RngStream(2)), part, train, cfg,
+                          RngStream(7))
+        assert upd.train_loss == left_to_right(CANCELLING_LOSSES) / 4
+        assert upd.train_loss != math.fsum(CANCELLING_LOSSES) / 4
 
     def test_empty_partition_rejected(self, small_data):
         train, _ = small_data
@@ -275,12 +300,19 @@ class TestAggregate:
                for i in range(10)]
         mean, loss, acc = aggregate(ups)
         total = sum(u.n_samples for u in ups)
-        assert loss == sum(u.train_loss * u.n_samples for u in ups) / total
-        assert acc == sum(u.train_acc * u.n_samples for u in ups) / total
+        assert loss == left_to_right(u.train_loss * u.n_samples for u in ups) / total
+        assert acc == left_to_right(u.train_acc * u.n_samples for u in ups) / total
         for order in (ups[::-1], ups[1::2] + ups[::2]):
             shuffled_mean, shuffled_loss, shuffled_acc = aggregate(order)
             assert shuffled_mean.tobytes() == mean.tobytes()
             assert (shuffled_loss, shuffled_acc) == (loss, acc)
+
+    def test_train_stats_added_left_to_right(self):
+        ups = [ClientUpdate(i, np.zeros(2), 1, loss, loss)
+               for i, loss in enumerate(CANCELLING_LOSSES)]
+        _, loss, acc = aggregate(ups)
+        assert loss == acc == left_to_right(CANCELLING_LOSSES) / 4
+        assert loss != math.fsum(CANCELLING_LOSSES) / 4
 
 
 class TestServerStep:
@@ -373,6 +405,27 @@ class TestRunTrial:
             assert ra.test_loss == rb.test_loss
             assert ra.train_loss == rb.train_loss
             assert ra.sampled_clients == rb.sampled_clients
+
+    def test_elapsed_spans_phase_and_next_evaluation(self, small_data, monkeypatch):
+        # round r spans phase r, which evaluates round r - 1; the last round
+        # also spans the phase that evaluates it
+        train, test = small_data
+        monkeypatch.setattr(numerics, "BLAS_THREADS", "unpinned")  # one process
+        pause = 0.2
+        evaluate = federation.evaluate
+
+        def slow_evaluate(*args):
+            time.sleep(pause)
+            return evaluate(*args)
+
+        monkeypatch.setattr(federation, "evaluate", slow_evaluate)
+        parts = pathological_partition(train, 10, 2, RngStream(11))
+        trial = run_trial(small_model(), FederationConfig(n_rounds=3, local_epochs=1),
+                          train, test, parts, 12)
+        elapsed = [r.elapsed_s for r in trial.records]
+        assert min(elapsed[1:]) >= pause
+        assert elapsed[-1] >= 2 * pause
+        assert left_to_right(elapsed) <= trial.total_time_s
 
     @pytest.mark.parametrize("kind", ["mlp", "spline_kan", "rbf_kan"])
     def test_pixel_codes_match_float_images(self, small_data, kind):

@@ -206,6 +206,18 @@ class TestLogs:
         assert cli.main(["report", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_log_without_rounds_is_data_error(self, tmp_path, capsys):
+        # the report reads each round it tables from every trial, so a trial
+        # with none would fail there on an index
+        for i in range(2):
+            write_logs(make_trial(f"mlp:{i}", "mlp", i, n_rounds=0),
+                       tmp_path / f"mlp_trial{i:02d}.jsonl")
+        path = tmp_path / "mlp_trial00.jsonl"
+        with pytest.raises(DataError, match="the log holds no rounds"):
+            read_logs(path)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: the log holds no rounds")
+
     def test_non_utf8_log_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         write_logs(make_trial(), path)

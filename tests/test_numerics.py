@@ -200,13 +200,13 @@ class TestSumLastAxis:
 class TestBlasPin:
     def test_bundled_openblas_pinned(self):
         # numpy's wheels bundle an OpenBLAS whose setter is in OPENBLAS_SETTERS
-        assert numerics.BLAS_THREADS == numerics.pin_blas_threads() == 1
+        assert numerics.BLAS_THREADS == numerics.pin_blas()[0] == 1
 
     def test_every_mapped_openblas_pinned(self):
         # scipy maps an OpenBLAS of its own beside numpy's; whichever sorts
         # first, each is left at one thread
         import scipy.linalg  # noqa: F401
-        assert numerics.pin_blas_threads() == 1
+        assert numerics.pin_blas()[0] == 1
         threads = {}
         for path in self.mapped_openblas():
             lib = ctypes.CDLL(path)
@@ -219,11 +219,11 @@ class TestBlasPin:
 
     def test_core_name_read(self):
         # numpy's bundled OpenBLAS names the kernels it chose when it loaded
-        assert numerics.BLAS_CORE == numerics.blas_core() != "unknown"
+        assert numerics.BLAS_CORE == numerics.pin_blas()[1] != "unknown"
 
     def test_no_core_getter_unknown(self, monkeypatch):
         monkeypatch.setattr(numerics, "OPENBLAS_CORENAMES", ("no_such_getter",))
-        assert numerics.blas_core() == "unknown"
+        assert numerics.pin_blas()[1] == "unknown"
 
     @pytest.mark.skipif(platform.machine() != "x86_64", reason="Nehalem is an x86-64 kernel")
     def test_core_name_follows_coretype_variable(self):
@@ -237,11 +237,11 @@ class TestBlasPin:
 
     def test_no_setter_unpinned(self, monkeypatch):
         monkeypatch.setattr(numerics, "OPENBLAS_SETTERS", ("no_such_setter",))
-        assert numerics.pin_blas_threads() == "unpinned"
+        assert numerics.pin_blas()[0] == "unpinned"
 
     @staticmethod
     def serve_maps(monkeypatch, *paths):
-        """Let pin_blas_threads read one /proc/self/maps line for each path."""
+        """Let pin_blas read one /proc/self/maps line for each path."""
         text = "".join(f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234      {path}\n"
                        for path in paths)
         monkeypatch.setattr(numerics, "open", lambda *args: io.StringIO(text), raising=False)
@@ -259,15 +259,14 @@ class TestBlasPin:
         link.parent.mkdir()
         link.symlink_to(real)
         self.serve_maps(monkeypatch, link)
-        assert numerics.pin_blas_threads() == 1
+        assert numerics.pin_blas()[0] == 1
 
     def test_deleted_library_unpinned(self, tmp_path, monkeypatch):
         self.serve_maps(monkeypatch, f"{tmp_path / 'libscipy_openblas64_.so'} (deleted)")
-        assert numerics.pin_blas_threads() == "unpinned"
-        assert numerics.blas_core() == "unknown"
+        assert numerics.pin_blas() == ("unpinned", "unknown")
 
     def test_one_deleted_library_unpinned(self, tmp_path, monkeypatch):
         # the one that cannot be opened may be numpy's, whatever the others say
         self.serve_maps(monkeypatch, self.mapped_openblas()[0],
                         f"{tmp_path / 'libscipy_openblas64_.so'} (deleted)")
-        assert numerics.pin_blas_threads() == "unpinned"
+        assert numerics.pin_blas()[0] == "unpinned"
