@@ -181,7 +181,7 @@ def scan_logs(log_dir) -> dict[str, list[TrialSummary]]:
     count as one more trial."""
     log_dir = Path(log_dir)
     if not log_dir.is_dir():
-        raise ReportError(f"log directory {log_dir} does not exist")
+        raise ReportError(f"{log_dir} is not a directory")
     groups: dict[str, list[TrialSummary]] = {}
     paths: dict[str, Path] = {}  # trial_id -> its log
     for path in sorted(log_dir.glob("*.jsonl")):

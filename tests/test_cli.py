@@ -531,6 +531,12 @@ class TestReport:
     def test_report_missing_dir_exit_3(self, tmp_path):
         assert run_cli("report", str(tmp_path / "nope")) == 3
 
+    def test_report_on_a_file_exit_3(self, tmp_path, capsys):
+        log = tmp_path / "mlp_trial00.jsonl"
+        log.write_text("")
+        assert run_cli("report", str(log)) == 3
+        assert capsys.readouterr().err == f"error: {log} is not a directory\n"
+
     def test_empty_log_dir_exit_1(self, tmp_path, monkeypatch, capsys):
         # an empty LOG_DIR is refused, not taken for the config's out_dir
         monkeypatch.chdir(tmp_path)

@@ -179,6 +179,7 @@ PINNED_PARTITION_SHA256 = "9ced93049b75ab0fe643dd80fb9bbd5244fca959fa808ce8cca5f
 
 
 class TestPartition:
+    # mean size exactly 600: tests/test_acceptance.py criterion 4, seeds 0-14
     @pytest.fixture()
     def parts(self, mnist_shaped_labels):
         p = pathological_partition(
@@ -193,10 +194,6 @@ class TestPartition:
             assert len(p.label_set) == 2
             labs = set(mnist_shaped_labels.labels[p.indices])
             assert labs == set(p.label_set)
-
-    def test_mean_size_exactly_600(self, parts):
-        sizes = [len(p) for p in parts]
-        assert sum(sizes) / len(sizes) == 600.0
 
     def test_sizes_in_band_with_imbalance(self, parts):
         sizes = [len(p) for p in parts]

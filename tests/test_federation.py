@@ -348,38 +348,7 @@ class TestServerStep:
 
 
 class TestRunTrial:
-    def test_federated_equals_centralized(self, small_data):
-        train, _ = small_data
-        mc = small_model()
-        seed = 99
-        fed = FederationConfig(
-            n_rounds=3, clients_per_round_fraction=1.0, local_epochs=2,
-            batch_size=32, server_momentum=0.0,
-        )
-        part = full_partition(train)
-        # federated path, driven op by op, against a centralized SGD oracle
-        # that replays the same schedule with a fresh buffer per round
-        rng = RngStream(seed)
-        fed_model = init_params(mc, rng)
-        srv = ServerState(fed_model, np.zeros(len(fed_model.params)))
-        central = init_params(mc, RngStream(seed))
-        for rnd in range(1, 4):
-            upd = local_train(srv.global_model, part, train, fed,
-                              rng.child("local", str(rnd), "0"))
-            server_step(srv, aggregate([upd])[0], fed.server_momentum)
-
-            gen = RngStream(seed).child("local", str(rnd), "0").gen
-            buf = np.zeros(len(central.params))
-            for _ in range(fed.local_epochs):
-                order = gen.permutation(len(train))
-                for start in range(0, len(order), fed.batch_size):
-                    sel = part.indices[order[start : start + fed.batch_size]]
-                    logits, cache = forward(central, train.images[sel])
-                    _, gl = softmax_cross_entropy(logits, train.labels[sel])
-                    grads, _ = backward(central, cache, gl)
-                    sgd_momentum_step(central.params, grads, buf, fed.lr, fed.client_momentum)
-            assert np.abs(srv.global_model.params - central.params).max() < 1e-9
-
+    # federated equals centralized: tests/test_acceptance.py criterion 5
     def test_initial_model_near_chance(self, small_data):
         # a single init can favor one class, so average over several inits
         train, test = small_data

@@ -46,12 +46,7 @@ class TestGrid:
 
 
 class TestBasis:
-    def test_partition_of_unity(self):
-        x = RngStream(1).gen.uniform(-0.999, 0.999, 1000)
-        b = bspline_basis(x)
-        assert b.shape == (1000, 8)
-        assert np.abs(b.sum(axis=1) - 1.0).max() < 1e-9
-
+    # partition of unity: tests/test_acceptance.py criterion 3
     def test_palindromic_at_grid_center(self):
         b = bspline_basis(np.array([0.0]))[0]
         assert np.allclose(b, b[::-1], atol=1e-12)
@@ -72,11 +67,7 @@ class TestBasis:
 
 
 class TestDerivative:
-    def test_derivative_sum_zero(self):
-        x = RngStream(4).gen.uniform(-0.999, 0.999, 1000)
-        d = bspline_basis_derivative(x)
-        assert np.abs(d.sum(axis=1)).max() < 1e-9
-
+    # the derivatives sum to zero: tests/test_acceptance.py criterion 3
     def test_matches_finite_difference(self):
         x = RngStream(5).gen.uniform(-0.9, 0.9, 100)
         h = 1e-6
@@ -92,14 +83,15 @@ class TestDerivative:
         assert np.abs(left - right).max() < 1e-6
 
 
-# The reference recursions below run on the paper's knots, built here
+# The reference recursion below runs on the paper's knots, built here
 # independently of the program (tests/test_models.py::TestLayerConstants
 # checks that splines.KNOTS is byte-equal to them).
 ORDER = 3
 PAPER_KNOTS = uniform_knots(5, ORDER)
 
 
-# the trailing-axis recursion that the basis-first layout replaced, kept as the oracle
+# the trailing-axis recursion that the basis-first layout replaced, kept as the
+# one bit-exact oracle of the spline kernels (here and in tests/test_models.py)
 def _trailing_units(x, t):
     return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0]))[..., None]
 
@@ -132,37 +124,40 @@ INPUT_GRIDS = [(5, 3), (3, 2), (4, 1)]
 
 
 class TestBasisFirstLayout:
-    """The basis-first recursion against the trailing-axis one, bit for bit."""
-
-    SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -1.0, 1.0, -7.5, 9.0]
+    """The basis-first recursion against the trailing-axis one, byte for byte:
+    tobytes() tells a -0.0 from a +0.0 and one NaN from another."""
 
     @staticmethod
     def inputs(shape, seed, t):
-        """Uniform over the knots t and one past each end, then the special
-        values and t itself."""
+        """Uniform over the knots t and one past each end, led by the special
+        values: every knot and its negation (on a knot one of the two
+        differences is exactly zero), just inside and outside each end, and
+        far outside."""
         x = RngStream(seed).gen.uniform(t[0] - 1.0, t[-1] + 1.0, shape)
+        specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -1.0, 1.0, -7.5, 9.0,
+                    *t, *-t, t[0] - 1e-12, t[-1] + 1e-12, -0.0]
         flat = x.reshape(-1)
-        specials = TestBasisFirstLayout.SPECIAL + list(t)
         flat[: min(len(specials), flat.size)] = specials[: flat.size]
         return x
 
     # inf * 0 gives NaN in both recursions, with a RuntimeWarning
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("shape", [(64, 24), (7,), (3, 5, 784)])
+    @pytest.mark.parametrize("shape", [(64, 24), (7,), (3, 5, 784), (5, 784), (11,)])
     @pytest.mark.parametrize("grid_size,order", INPUT_GRIDS)
     def test_matches_trailing_axis_recursion(self, shape, grid_size, order):
         x = self.inputs(shape, 60 + grid_size, uniform_knots(grid_size, order))
         lower = bspline_basis_lower(x)
         old_lower = trailing_lower(x)
         assert lower.shape == old_lower.shape == shape + (9,)
-        assert np.array_equal(lower, old_lower, equal_nan=True)
+        assert lower.tobytes() == old_lower.tobytes()
         value = basis_from_lower(x, lower)
         assert value.shape == shape + (8,)
-        assert np.array_equal(value, trailing_from_lower(x, old_lower), equal_nan=True)
-        assert np.array_equal(bspline_basis(x), value, equal_nan=True)
+        assert value.tobytes() == trailing_from_lower(x, old_lower).tobytes()
+        assert bspline_basis(x).tobytes() == value.tobytes()
         deriv = derivative_from_lower(lower)
         assert deriv.shape == shape + (8,)
-        assert np.array_equal(deriv, trailing_derivative(old_lower), equal_nan=True)
+        assert deriv.tobytes() == trailing_derivative(old_lower).tobytes()
+        assert np.isnan(value).any()  # inf * 0 in both recursions
         # the value and derivative read this module's lower back without a copy
         assert np.shares_memory(splines._basis_first(lower), lower)
 
@@ -183,63 +178,3 @@ class TestBasisFirstLayout:
             out.append((logits, *backward(state, cache, g)))
         for a, b in zip(*out):
             assert np.array_equal(a, b)
-
-
-# today's basis-first recursion before the differences were hoisted: every
-# step takes u - j and j + d + 1 - u afresh, in 7 operations
-def _seven_op_units(x, t):
-    return ((np.asarray(x, dtype=np.float64) - t[0]) / (t[1] - t[0])).reshape(1, -1)
-
-
-def _seven_op_step(u, lower, d):
-    j = np.arange(len(lower) - 1)[:, None]
-    return ((u - j) * lower[:-1] + (j + d + 1 - u) * lower[1:]) / d
-
-
-def seven_op_lower(x, t=PAPER_KNOTS):
-    u = _seven_op_units(x, t)
-    j0 = np.arange(len(t) - 1)[:, None]
-    b = ((u >= j0) & (u < j0 + 1)).astype(np.float64)
-    for d in range(1, ORDER):
-        b = _seven_op_step(u, b, d)
-    return b.T.reshape(np.shape(x) + (len(b),))
-
-
-def seven_op_from_lower(x, lower, t=PAPER_KNOTS):
-    b = lower.reshape(-1, lower.shape[-1]).T
-    b = _seven_op_step(_seven_op_units(x, t), b, ORDER)
-    return b.T.reshape(lower.shape[:-1] + (len(b),))
-
-
-def seven_op_derivative(lower, t=PAPER_KNOTS):
-    b = lower.reshape(-1, lower.shape[-1]).T
-    b = (b[:-1] - b[1:]) / (t[1] - t[0])
-    return b.T.reshape(lower.shape[:-1] + (len(b),))
-
-
-class TestHoistedDifferences:
-    """The recursion on the hoisted W/V tables against the 7-op step, byte for
-    byte: tobytes() tells a -0.0 from a +0.0 and one NaN from another."""
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("shape", [(64, 24), (5, 784), (11,)])
-    @pytest.mark.parametrize("grid_size,order", INPUT_GRIDS)
-    def test_bytes_match_seven_op_step(self, shape, grid_size, order):
-        t = uniform_knots(grid_size, order)
-        x = TestBasisFirstLayout.inputs(shape, 80 + order, t)
-        # every knot and its negation, just inside and outside each end, and
-        # far outside: on a knot one of the two differences is exactly zero
-        flat = x.reshape(-1)
-        edges = [t[0] - 1e-12, t[-1] + 1e-12, -np.inf, np.inf, np.nan, -0.0]
-        extra = list(-t) + edges
-        flat[-len(extra):] = extra[-flat.size:]
-        lower, old_lower = bspline_basis_lower(x), seven_op_lower(x)
-        assert lower.shape == old_lower.shape
-        assert lower.tobytes() == np.ascontiguousarray(old_lower).tobytes()
-        value = basis_from_lower(x, lower)
-        old_value = seven_op_from_lower(x, old_lower)
-        assert value.tobytes() == np.ascontiguousarray(old_value).tobytes()
-        deriv = derivative_from_lower(lower)
-        old_deriv = seven_op_derivative(old_lower)
-        assert deriv.tobytes() == np.ascontiguousarray(old_deriv).tobytes()
-        assert np.isnan(value).any()  # inf * 0 in both recursions
