@@ -123,43 +123,47 @@ def trailing_derivative(lower, t=PAPER_KNOTS):
 INPUT_GRIDS = [(5, 3), (3, 2), (4, 1)]
 
 
-class TestBasisFirstLayout:
-    """The basis-first recursion against the trailing-axis one, byte for byte:
-    tobytes() tells a -0.0 from a +0.0 and one NaN from another."""
+def spline_inputs(shape, seed, t):
+    """Uniform over the knots t and one past each end, led by the special
+    values: every knot and its negation (on a knot one of the two differences
+    is exactly zero), just inside and outside each end, and far outside."""
+    x = RngStream(seed).gen.uniform(t[0] - 1.0, t[-1] + 1.0, shape)
+    specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -1.0, 1.0, -7.5, 9.0,
+                *t, *-t, t[0] - 1e-12, t[-1] + 1e-12, -0.0]
+    flat = x.reshape(-1)
+    flat[: min(len(specials), flat.size)] = specials[: flat.size]
+    return x
 
-    @staticmethod
-    def inputs(shape, seed, t):
-        """Uniform over the knots t and one past each end, led by the special
-        values: every knot and its negation (on a knot one of the two
-        differences is exactly zero), just inside and outside each end, and
-        far outside."""
-        x = RngStream(seed).gen.uniform(t[0] - 1.0, t[-1] + 1.0, shape)
-        specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -1.0, 1.0, -7.5, 9.0,
-                    *t, *-t, t[0] - 1e-12, t[-1] + 1e-12, -0.0]
-        flat = x.reshape(-1)
-        flat[: min(len(specials), flat.size)] = specials[: flat.size]
-        return x
+
+def assert_bytes_match_trailing(x):
+    """The basis-first kernels against trailing_*, byte for byte: tobytes()
+    tells a -0.0 from a +0.0 and one NaN from another."""
+    lower = bspline_basis_lower(x)
+    old_lower = trailing_lower(x)
+    assert lower.shape == old_lower.shape == x.shape + (9,)
+    assert lower.tobytes() == old_lower.tobytes()
+    value = basis_from_lower(x, lower)
+    assert value.shape == x.shape + (8,)
+    assert value.tobytes() == trailing_from_lower(x, old_lower).tobytes()
+    assert bspline_basis(x).tobytes() == value.tobytes()
+    deriv = derivative_from_lower(lower)
+    assert deriv.shape == x.shape + (8,)
+    assert deriv.tobytes() == trailing_derivative(old_lower).tobytes()
+    assert np.isnan(value).any()  # inf * 0 in both recursions
+    # the value and derivative read this module's lower back without a copy
+    assert np.shares_memory(splines._basis_first(lower), lower)
+
+
+class TestBasisFirstLayout:
+    """The basis-first layout against the trailing-axis one."""
 
     # inf * 0 gives NaN in both recursions, with a RuntimeWarning
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("shape", [(64, 24), (7,), (3, 5, 784), (5, 784), (11,)])
+    @pytest.mark.parametrize("shape", [(64, 24), (7,), (3, 5, 784)])
     @pytest.mark.parametrize("grid_size,order", INPUT_GRIDS)
     def test_matches_trailing_axis_recursion(self, shape, grid_size, order):
-        x = self.inputs(shape, 60 + grid_size, uniform_knots(grid_size, order))
-        lower = bspline_basis_lower(x)
-        old_lower = trailing_lower(x)
-        assert lower.shape == old_lower.shape == shape + (9,)
-        assert lower.tobytes() == old_lower.tobytes()
-        value = basis_from_lower(x, lower)
-        assert value.shape == shape + (8,)
-        assert value.tobytes() == trailing_from_lower(x, old_lower).tobytes()
-        assert bspline_basis(x).tobytes() == value.tobytes()
-        deriv = derivative_from_lower(lower)
-        assert deriv.shape == shape + (8,)
-        assert deriv.tobytes() == trailing_derivative(old_lower).tobytes()
-        assert np.isnan(value).any()  # inf * 0 in both recursions
-        # the value and derivative read this module's lower back without a copy
-        assert np.shares_memory(splines._basis_first(lower), lower)
+        assert_bytes_match_trailing(
+            spline_inputs(shape, 60 + grid_size, uniform_knots(grid_size, order)))
 
     def test_spline_kan_forward_backward_unchanged(self, monkeypatch):
         # float input runs the basis at every layer; the models consume the
@@ -178,3 +182,16 @@ class TestBasisFirstLayout:
             out.append((logits, *backward(state, cache, g)))
         for a, b in zip(*out):
             assert np.array_equal(a, b)
+
+
+class TestHoistedDifferences:
+    """The recursion on the hoisted W/V tables against the 7-op step, which
+    takes u - j and j + d + 1 - u afresh at every step: _trailing_step is
+    that step, on the trailing axis."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(64, 24), (5, 784), (11,)])
+    @pytest.mark.parametrize("grid_size,order", INPUT_GRIDS)
+    def test_bytes_match_seven_op_step(self, shape, grid_size, order):
+        assert_bytes_match_trailing(
+            spline_inputs(shape, 80 + order, uniform_knots(grid_size, order)))
