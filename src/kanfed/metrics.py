@@ -135,6 +135,9 @@ def read_logs(path) -> TrialSummary:
             raise DataError(f"{path}: malformed JSON at line {lineno}: {e}") from e
         if not isinstance(obj, dict):
             raise DataError(f"{path}: line {lineno} is not a JSON object")
+        # the summary is the one last line: a line after it would add rounds or retime the trial
+        if summary is not None:
+            raise DataError(f"{path}: line {lineno} follows the trial's summary line")
         types = _ROUND_TYPES if "round" in obj else _SUMMARY_TYPES
         missing = [k for k in types if k not in obj]
         if missing:

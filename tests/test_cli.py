@@ -101,13 +101,10 @@ class TestConfig:
         assert fed.client_momentum == fed.server_momentum == 0.0
 
     def test_desk_preset(self, capsys):
-        # the desk-scale comparison is two flags; --preset desk is gone
+        # the desk-scale comparison is two flags, not a preset
         assert run_cli("run", "--dump-config", "--trials", "3", "--rounds", "30") == 0
         desk = replace(ExperimentConfig(), trials_per_model=3, n_rounds=30)
         assert capsys.readouterr().out == dump_config(desk)
-        with pytest.raises(SystemExit) as e:
-            run_cli("run", "--dump-config", "--preset", "desk")
-        assert e.value.code == 1
 
     @pytest.mark.parametrize("flag,text,key,dumped", [
         ("--models", " mlp , rbf_kan ", "models", "mlp,rbf_kan"),
@@ -165,14 +162,6 @@ def synth_mirror(synth_idx_dir, tmp_path, monkeypatch):
 
 
 class TestRun:
-    def test_dump_config_defaults(self, capsys):
-        assert run_cli("run", "--dump-config", "--trials", "3", "--rounds", "30") == 0
-        out = capsys.readouterr().out
-        assert "lr = 0.1" in out.splitlines()
-        assert "n_rounds = 30" in out.splitlines()
-        assert "trials_per_model = 3" in out.splitlines()
-        assert len(out.splitlines()) == 7
-
     def test_smoke_and_resume(self, synth_idx_dir, tmp_path, capsys):
         out_dir = tmp_path / "runs"
         args = (
@@ -421,22 +410,10 @@ class TestRun:
         name = flag[2:].replace("-", "_")
         assert f"usage error: {name} must be a path, got an empty one" in capsys.readouterr().err
 
-    def test_parallel_clients_flag_gone_exit_1(self, capsys):
-        # a round's clients train on every usable CPU; there is no count to set
-        with pytest.raises(SystemExit) as e:
-            run_cli("run", "--dump-config", "--parallel-clients", "1")
-        assert e.value.code == 1
-        assert "unrecognized arguments: --parallel-clients" in capsys.readouterr().err
-
     def test_empty_models_flag_exit_1(self, capsys):
         # an empty list is applied and refused, not dropped as if it were absent
         assert run_cli("run", "--dump-config", "--models", "") == 1
         assert "usage error: models must be" in capsys.readouterr().err
-
-    def test_usage_error_exit_1(self):
-        with pytest.raises(SystemExit) as e:
-            run_cli("run", "--preset", "bogus")
-        assert e.value.code == 1
 
     def test_partition_subcommand_gone_exit_1(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -462,23 +439,28 @@ sys.exit(main(["run"] + sys.argv[2:]))
 """
 
 
+CHILD_MODELS = ("mlp", "rbf_kan")
+
+
 @pytest.fixture(scope="module")
 def child_runs(synth_idx_dir, tmp_path_factory):
-    """One short MLP trial, run by three new processes: OPENBLAS_NUM_THREADS
-    1 and 2 on every usable CPU, and 2 on one CPU. Each gives its log,
-    timing stripped, and its manifest."""
+    """One short trial of each of `CHILD_MODELS`, run by three new processes:
+    OPENBLAS_NUM_THREADS 1 and 2 on every usable CPU, and 2 on one CPU. Each
+    gives its logs, timing stripped, and its manifest. A log is JSON text,
+    since the RBF-KAN's losses go NaN and NaN equals nothing."""
     out = {}
     for blas, one_cpu in (("1", False), ("2", False), ("2", True)):
         out_dir = tmp_path_factory.mktemp(f"blas{blas}-{'one' if one_cpu else 'all'}")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": blas, "PYTHONPATH": str(SRC)}
         subprocess.run(
             [sys.executable, "-c", RUN_IN_CHILD, "1" if one_cpu else "all",
-             "--models", "mlp", "--trials", "1", "--rounds", "2", "--seed", "3",
-             "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir)],
+             "--models", ",".join(CHILD_MODELS), "--trials", "1", "--rounds", "2",
+             "--seed", "3", "--data-dir", str(synth_idx_dir), "--out-dir", str(out_dir)],
             env=env, check=True, timeout=300,
         )
-        out[blas, one_cpu] = (strip_timing(out_dir / "mlp_trial00.jsonl"),
-                              json.loads((out_dir / "manifest.json").read_text()))
+        logs = {kind: json.dumps(strip_timing(out_dir / f"{kind}_trial00.jsonl"))
+                for kind in CHILD_MODELS}
+        out[blas, one_cpu] = (logs, json.loads((out_dir / "manifest.json").read_text()))
     return out
 
 
@@ -502,13 +484,19 @@ def test_logs_independent_of_worker_count(child_runs):
     ("fetch-data", "--seed", "3"),
     ("report", "--data-dir", "x"),
     ("report", "--out-dir", "x"),
+    ("run", "--parallel-clients", "1"),
+    ("run", "--preset", "desk"),
 ])
 def test_flag_the_subcommand_ignores_exit_1(tmp_path, capsys, argv):
     # each subcommand declares only the shared flags it reads, so one it
-    # would drop without a word is a usage error
+    # would drop without a word is a usage error; `run` declares none that
+    # is gone: a round's clients train on every usable CPU, with no count to
+    # set, and the desk-scale comparison is two flags, not a preset
     command, flag, value = argv
-    rest = (["--data-dir", str(tmp_path / "data"), "--mirror", (tmp_path / "none").as_uri()]
-            if command == "fetch-data" else [str(tmp_path / "logs")])
+    rest = {"fetch-data": ["--data-dir", str(tmp_path / "data"),
+                           "--mirror", (tmp_path / "none").as_uri()],
+            "report": [str(tmp_path / "logs")],
+            "run": ["--dump-config"]}[command]
     with pytest.raises(SystemExit) as e:
         run_cli(command, *rest, flag, value)
     assert e.value.code == 1

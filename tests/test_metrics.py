@@ -206,6 +206,26 @@ class TestLogs:
         assert cli.main(["report", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail", [
+        lambda rnd, summary: [{**summary, "total_time_s": 99.0}],
+        lambda rnd, summary: [{**rnd, "round": 2},
+                              {**summary, "n_rounds": 2, "total_time_s": 99.0}],
+    ], ids=["second_summary", "round_after_summary"])
+    def test_line_after_summary_is_data_error(self, tmp_path, capsys, tail):
+        # the summary is the one last line; else a later summary would time
+        # the trial, and the report's time ratios would divide that time
+        path = tmp_path / "t.jsonl"
+        write_logs(make_trial(n_rounds=1), path)
+        rnd, summary = map(json.loads, path.read_text().splitlines())
+        with open(path, "a") as f:
+            f.writelines(json.dumps(obj) + "\n" for obj in tail(rnd, summary))
+        message = "line 3 follows the trial's summary line"
+        with pytest.raises(DataError, match=message) as e:
+            read_logs(path)
+        assert str(path) in str(e.value)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_log_without_rounds_is_data_error(self, tmp_path, capsys):
         # the report reads each round it tables from every trial, so a trial
         # with none would fail there on an index
